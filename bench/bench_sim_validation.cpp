@@ -7,7 +7,21 @@
 #include <cstdio>
 
 #include "scenarios/paper_system.hpp"
-#include "sim/simulator.hpp"
+#include "sim/system_simulator.hpp"
+
+namespace {
+
+hem::sim::SystemSimResult simulate_paper(hem::sim::GenMode mode, std::uint64_t seed) {
+  hem::sim::SystemSimulator::Options opts;
+  opts.horizon = 400'000;
+  opts.mode = mode;
+  opts.seed = seed;
+  return hem::sim::SystemSimulator(
+             hem::scenarios::build_paper_system({}, /*hierarchical=*/true), opts)
+      .run();
+}
+
+}  // namespace
 
 int main() {
   using namespace hem;
@@ -30,8 +44,7 @@ int main() {
   std::puts("=== Ablation A2: observed WCRT vs analytic bounds (paper system) ===");
   std::printf("%-22s %6s %6s %6s\n", "stimulus", "T1", "T2", "T3");
   for (const auto& c : cases) {
-    const auto cfg = scenarios::make_paper_sim_config({}, 400'000, c.mode, c.seed);
-    const auto res = sim::Simulator(cfg).run();
+    const auto res = simulate_paper(c.mode, c.seed);
     std::printf("%-22s %6lld %6lld %6lld\n", c.name,
                 static_cast<long long>(res.tasks.at("T1").wcrt),
                 static_cast<long long>(res.tasks.at("T2").wcrt),
@@ -48,10 +61,9 @@ int main() {
 
   std::puts("\nObserved activation counts over the run (HEM predicts per-signal");
   std::puts("rates; flat would charge the total frame rate to every task):");
-  const auto cfg = scenarios::make_paper_sim_config({}, 400'000, sim::GenMode::kRandom, 1);
-  const auto res = sim::Simulator(cfg).run();
+  const auto res = simulate_paper(sim::GenMode::kRandom, 1);
   std::printf("frames F1: %zu, T1: %zu, T2: %zu, T3: %zu activations\n",
-              res.frame_completions.at("F1").size(), res.tasks.at("T1").activations.size(),
+              res.tasks.at("F1").completions.size(), res.tasks.at("T1").activations.size(),
               res.tasks.at("T2").activations.size(), res.tasks.at("T3").activations.size());
   return 0;
 }

@@ -11,7 +11,7 @@
 
 #include "hem/hem.hpp"
 #include "scenarios/paper_system.hpp"
-#include "sim/simulator.hpp"
+#include "sim/system_simulator.hpp"
 
 int main() {
   using namespace hem;
@@ -42,8 +42,11 @@ int main() {
   std::cout << format_eta_table(series);
 
   std::cout << "\n=== Simulation cross-check (worst-case burst mode) ===\n";
-  const auto cfg = scenarios::make_paper_sim_config({}, 200'000, sim::GenMode::kEarliest, 1);
-  const auto simres = sim::Simulator(cfg).run();
+  sim::SystemSimulator::Options opts;
+  opts.horizon = 200'000;
+  opts.mode = sim::GenMode::kEarliest;
+  const auto simres =
+      sim::SystemSimulator(scenarios::build_paper_system({}, /*hierarchical=*/true), opts).run();
   std::printf("%-6s %12s %12s\n", "Task", "sim WCRT", "HEM bound");
   for (const char* t : {"T1", "T2", "T3"}) {
     std::printf("%-6s %12lld %12lld\n", t,

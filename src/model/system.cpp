@@ -109,6 +109,10 @@ void System::set_task_priority(TaskId task, int priority) {
 
 void System::set_task_slot(TaskId task, Time slot) { tasks_.at(task).slot = slot; }
 
+void System::set_task_deadline(TaskId task, Time deadline) {
+  tasks_.at(task).deadline = deadline;
+}
+
 void System::set_resource_tdma_cycle(ResourceId resource, Time cycle) {
   ResourceSpec& res = resources_.at(resource);
   if (res.policy != Policy::kTdma && res.policy != Policy::kFlexRayStatic)

@@ -138,6 +138,10 @@ class System {
   /// only knows slot sizes once execution times are assigned).
   void set_task_slot(TaskId task, Time slot);
 
+  /// Replace a task's relative deadline (EDF); the synthesiser sets it once
+  /// each task's activation period is known.
+  void set_task_deadline(TaskId task, Time deadline);
+
   /// Replace a TDMA/FlexRay resource's cycle length — again for builders
   /// that size the cycle from the slots they assigned after the fact.
   /// \throws std::invalid_argument for a non-positive cycle or a resource

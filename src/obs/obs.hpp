@@ -219,18 +219,6 @@ inline void observe(Histogram& h, long sample) noexcept {
   if (counting()) h.record(sample);
 }
 
-/// Acquire `lock` (a deferred unique_lock), counting failed immediate
-/// acquisitions into `contention`.  The lock is ALWAYS acquired; only the
-/// bookkeeping is conditional, so locking behaviour is identical whether
-/// observability is on or off.
-inline void lock_counted(std::unique_lock<std::mutex>& lock, Counter& contention) {
-  if (counting()) {
-    if (lock.try_lock()) return;
-    contention.add(1);
-  }
-  lock.lock();
-}
-
 /// Small dense thread id for trace events (0 = first observed thread).
 [[nodiscard]] std::uint32_t thread_id() noexcept;
 

@@ -113,44 +113,4 @@ com::ComLayer make_paper_com_layer(const PaperSystemParams& p) {
   return com::ComLayer({std::move(f1), std::move(f2)});
 }
 
-sim::SimConfig make_paper_sim_config(const PaperSystemParams& p, Time horizon,
-                                     sim::GenMode mode, std::uint64_t seed) {
-  sim::SimConfig cfg;
-  cfg.source_names = {"S1", "S2", "S3", "S4"};
-  cfg.sources = {
-      sim::SourceSpec{p.s1_period, p.s1_jitter, 0, 0},
-      sim::SourceSpec{p.s2_period, p.s2_jitter, 0, 0},
-      sim::SourceSpec{p.s3_period, p.s3_jitter, 0, 0},
-      sim::SourceSpec{p.s4_period, p.s4_jitter, 0, 0},
-  };
-
-  sim::SimFrame f1;
-  f1.name = "F1";
-  f1.priority = 1;
-  f1.c_best = f1.c_worst = p.f1_time;
-  f1.signals = {
-      sim::SimSignal{"s1", 0, true, "T1"},
-      sim::SimSignal{"s2", 1, true, "T2"},
-      sim::SimSignal{"s3", 2, false, "T3"},
-  };
-
-  sim::SimFrame f2;
-  f2.name = "F2";
-  f2.priority = 2;
-  f2.c_best = f2.c_worst = p.f2_time;
-  f2.signals = {sim::SimSignal{"s4", 3, true, ""}};  // T4 lives on another CPU
-
-  cfg.frames = {f1, f2};
-  cfg.tasks = {
-      sim::SimTask{"T1", 1, p.t1_cet, p.t1_cet},
-      sim::SimTask{"T2", 2, p.t2_cet, p.t2_cet},
-      sim::SimTask{"T3", 3, p.t3_cet, p.t3_cet},
-  };
-  cfg.horizon = horizon;
-  cfg.mode = mode;
-  cfg.seed = seed;
-  cfg.worst_case_exec = true;
-  return cfg;
-}
-
 }  // namespace hem::scenarios

@@ -31,7 +31,6 @@
 #include "model/analysis_report.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/system.hpp"
-#include "sim/simulator.hpp"
 
 namespace hem::scenarios {
 
@@ -82,9 +81,5 @@ struct PaperSystemResults {
 /// The COM layer view of the paper system (frames F1/F2 with signals),
 /// for direct use of the com:: API in tests and examples.
 [[nodiscard]] com::ComLayer make_paper_com_layer(const PaperSystemParams& p = {});
-
-/// Simulation configuration matching the paper system.
-[[nodiscard]] sim::SimConfig make_paper_sim_config(const PaperSystemParams& p, Time horizon,
-                                                   sim::GenMode mode, std::uint64_t seed);
 
 }  // namespace hem::scenarios

@@ -66,9 +66,10 @@ cpa::System build_synth_system(const SynthParams& params) {
     throw std::invalid_argument("synth: utilization must be in (0, 1)");
   if (params.min_period < 1 || params.max_period < params.min_period)
     throw std::invalid_argument("synth: need 1 <= min_period <= max_period");
-  if (params.tdma_permille < 0 || params.rr_permille < 0 ||
-      params.tdma_permille + params.rr_permille > 1000)
-    throw std::invalid_argument("synth: need tdma_permille + rr_permille in [0, 1000]");
+  if (params.tdma_permille < 0 || params.rr_permille < 0 || params.edf_permille < 0 ||
+      params.tdma_permille + params.rr_permille + params.edf_permille > 1000)
+    throw std::invalid_argument(
+        "synth: need tdma_permille + rr_permille + edf_permille in [0, 1000]");
 
   const auto n_res = static_cast<std::size_t>(params.resources);
   const auto n_tasks = static_cast<std::size_t>(params.tasks);
@@ -103,6 +104,9 @@ cpa::System build_synth_system(const SynthParams& params) {
       } else if (mix < params.tdma_permille + params.rr_permille) {
         spec.policy = cpa::Policy::kRoundRobin;
         prefix = "rr";
+      } else if (mix < params.tdma_permille + params.rr_permille + params.edf_permille) {
+        spec.policy = cpa::Policy::kEdf;
+        prefix = "edf";
       } else {
         spec.policy = cpa::Policy::kSppPreemptive;
       }
@@ -247,6 +251,7 @@ cpa::System build_synth_system(const SynthParams& params) {
         sys.set_task_slot(t, wcet);
         slot_sum = sat_add(slot_sum, wcet);
       }
+      if (policy == cpa::Policy::kEdf) sys.set_task_deadline(t, eff_period[t]);
     }
     if (sys.resources()[r].policy == cpa::Policy::kTdma)
       sys.set_resource_tdma_cycle(r, sat_mul(slot_sum, 2));

@@ -58,6 +58,11 @@ struct SynthParams {
   /// the time-driven resources schedulable at the same utilisation target.
   int tdma_permille = 0;
   int rr_permille = 0;
+  /// Per-mille of CPU resources re-policied as EDF, selected by the same
+  /// modulo walk after the TDMA and round-robin shares.  Deadlines are
+  /// implicit: the period each task's CET is sized against.  Zero RNG
+  /// draws, like the time-driven mix.
+  int edf_permille = 0;
 };
 
 /// Build the synthetic system.  Throws std::invalid_argument on degenerate

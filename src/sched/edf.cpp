@@ -126,6 +126,8 @@ ResponseResult EdfAnalysis::analyze(std::size_t index) const {
       res.wcrt = std::max(res.wcrt, w - arrival);
     }
   }
+  // A job pending at t arrived within (t - R+, t]: at most eta+(R+) jobs.
+  res.backlog = self.params.activation->eta_plus(res.wcrt);
   return res;
 }
 

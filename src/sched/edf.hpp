@@ -20,9 +20,9 @@
 /// job's arrival, so responses are maximised over an offset scan whose
 /// candidates are the alignments of the job's absolute deadline with other
 /// tasks' job deadlines (the response is piecewise between alignments).
-/// The offset scan is validated against a preemptive EDF simulator in
-/// tests/sim/edf_cpu_sim_test.cpp - the synchronous-only variant is
-/// demonstrably unsound there.
+/// The offset scan is validated against the preemptive EDF simulator in
+/// tests/integration/random_validation_test.cpp (RandomEdf) - the
+/// synchronous-only variant is demonstrably unsound there.
 
 #include <vector>
 

@@ -61,6 +61,8 @@ ResponseResult RoundRobinAnalysis::analyze(std::size_t index) const {
   res.activations = q_max;
 
   Time w_prev = 0;
+  std::vector<Time> completions;
+  completions.reserve(static_cast<std::size_t>(q_max));
   for (Count q = 1; q <= q_max; ++q) {
     const Count rounds = rounds_for(q);
     const Time w = least_fixpoint(
@@ -68,8 +70,10 @@ ResponseResult RoundRobinAnalysis::analyze(std::size_t index) const {
         std::max(w_prev, sat_mul(c, q)), limits_,
         "RoundRobinAnalysis(" + self.params.name + ") q=" + std::to_string(q));
     w_prev = w;
+    completions.push_back(w);
     res.wcrt = std::max(res.wcrt, w - self.params.activation->delta_min(q));
   }
+  res.backlog = backlog_bound(*self.params.activation, completions);
   return res;
 }
 

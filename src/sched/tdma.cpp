@@ -70,10 +70,14 @@ ResponseResult TdmaAnalysis::analyze(std::size_t index) const {
   const Time kb = cb > 0 ? (cb - 1) / self.slot : 0;
   res.bcrt = cb + kb * (cycle_ - self.slot);
 
+  std::vector<Time> completions;
+  completions.reserve(static_cast<std::size_t>(q_max));
   for (Count q = 1; q <= q_max; ++q) {
     const Time completion = service_inverse(index, sat_mul(c, q));
+    completions.push_back(completion);
     res.wcrt = std::max(res.wcrt, completion - self.params.activation->delta_min(q));
   }
+  res.backlog = backlog_bound(*self.params.activation, completions);
   return res;
 }
 

@@ -5,8 +5,9 @@
 /// callbacks.  Events at equal times run in scheduling order (stable).
 ///
 /// The simulator is intentionally independent of the analysis code: it
-/// shares only the Time type, so that simulation results can falsify the
-/// analytic bounds without sharing their assumptions.
+/// shares only the Time type and the system description, so that
+/// simulation results can falsify the analytic bounds without sharing
+/// their assumptions.
 
 #include <cstdint>
 #include <functional>

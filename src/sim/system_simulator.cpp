@@ -7,14 +7,11 @@
 #include <stdexcept>
 
 #include "core/standard_event_model.hpp"
-#include "sim/bus_sim.hpp"
-#include "sim/cpu_sim.hpp"
 
 namespace hem::sim {
 
 namespace {
 
-using cpa::Policy;
 using cpa::System;
 using cpa::TaskId;
 
@@ -28,13 +25,6 @@ SourceSpec spec_from(const ModelPtr& model) {
   return SourceSpec{sem->period(), sem->jitter(), sem->d_min(), 0};
 }
 
-/// Where a task lives in the simulation.
-struct Location {
-  enum class Kind { kCpu, kBusFrame } kind = Kind::kCpu;
-  std::size_t resource_slot = 0;  ///< index into cpus_ / buses_
-  std::size_t local = 0;          ///< index within the CpuSim / BusSim
-};
-
 }  // namespace
 
 SystemSimulator::SystemSimulator(const cpa::System& system, Options options)
@@ -43,6 +33,12 @@ SystemSimulator::SystemSimulator(const cpa::System& system, Options options)
 }
 
 SystemSimResult SystemSimulator::run() {
+  const FaultInjection& faults = options_.faults;
+  if (faults.drop_rate < 0.0 || faults.drop_rate > 1.0)
+    throw std::invalid_argument("SystemSimulator: drop_rate must be within [0, 1]");
+  if (faults.extra_jitter < 0 || faults.burst < 1)
+    throw std::invalid_argument("SystemSimulator: need extra_jitter >= 0 and burst >= 1");
+
   EventCalendar cal;
   std::mt19937_64 rng(options_.seed);
   const auto& tasks = system_.tasks();
@@ -50,14 +46,10 @@ SystemSimResult SystemSimulator::run() {
 
   // ---- per-task simulation state -----------------------------------------
   struct FrameState {
-    std::vector<bool> fresh;                      // per packed input
-    std::deque<std::vector<bool>> latched;        // snapshots in flight
-    std::deque<Time> request_times;               // FIFO for response pairing
+    std::vector<bool> fresh;                // per packed input
+    std::deque<std::vector<bool>> latched;  // snapshots of jobs in flight
   };
-  std::vector<Location> where(tasks.size());
   std::vector<FrameState> frame_state(tasks.size());
-  std::vector<std::vector<Time>> activations(tasks.size());
-  std::vector<std::vector<Time>> responses(tasks.size());
 
   // consumers_on_complete[t]: tasks activated by t's output (OR edges).
   std::vector<std::vector<TaskId>> consumers_on_complete(tasks.size());
@@ -74,40 +66,27 @@ SystemSimResult SystemSimulator::run() {
   // unpack_consumers[frame][input index] -> consumer tasks.
   std::vector<std::map<std::size_t, std::vector<TaskId>>> unpack_consumers(tasks.size());
 
-  // ---- build resources -----------------------------------------------------
-  std::vector<std::unique_ptr<CpuSim>> cpus;
-  std::vector<std::unique_ptr<BusSim>> buses;
-  std::vector<std::vector<TaskId>> cpu_members;   // per cpu slot
-  std::vector<std::vector<TaskId>> bus_members;   // per bus slot
-  std::map<std::size_t, std::size_t> cpu_slot_of_resource;
-  std::map<std::size_t, std::size_t> bus_slot_of_resource;
-
+  // ---- one ResourceSim per resource ----------------------------------------
+  std::vector<std::vector<TaskId>> members(resources.size());
+  std::vector<std::size_t> local(tasks.size());  // index within the task's ResourceSim
+  for (TaskId t = 0; t < tasks.size(); ++t) {
+    local[t] = members[tasks[t].resource].size();
+    members[tasks[t].resource].push_back(t);
+  }
+  std::vector<std::unique_ptr<ResourceSim>> sims(resources.size());
   for (std::size_t r = 0; r < resources.size(); ++r) {
-    std::vector<TaskId> members;
-    for (TaskId t = 0; t < tasks.size(); ++t)
-      if (tasks[t].resource == r) members.push_back(t);
-    if (members.empty()) continue;
-    switch (resources[r].policy) {
-      case Policy::kSppPreemptive:
-        cpu_slot_of_resource[r] = cpu_members.size();
-        cpu_members.push_back(std::move(members));
-        break;
-      case Policy::kSpnpCan:
-        bus_slot_of_resource[r] = bus_members.size();
-        bus_members.push_back(std::move(members));
-        break;
-      default:
-        throw std::invalid_argument("SystemSimulator: resource '" + resources[r].name +
-                                    "' uses a policy the simulator does not support");
-    }
+    if (members[r].empty()) continue;
+    std::vector<cpa::TaskSpec> specs;
+    for (const TaskId t : members[r]) specs.push_back(tasks[t]);
+    sims[r] = std::make_unique<ResourceSim>(cal, resources[r], std::move(specs),
+                                            options_.worst_case_exec, rng);
   }
 
-  // Forward declaration of the activation dispatcher.
-  std::function<void(TaskId)> activate;
+  const auto activate = [&](TaskId t) { sims[tasks[t].resource]->activate(local[t]); };
 
-  // Common fan-out when any task (CPU job or bus frame) completes: plain
-  // output consumers, AND-junction token bookkeeping, and packed inputs of
-  // downstream frames.
+  // Fan-out when any task completes: plain output consumers, AND-junction
+  // token bookkeeping, packed inputs of downstream frames, and - for a
+  // frame - the receivers of every signal fresh in its latched snapshot.
   const auto notify_completion = [&](TaskId t) {
     for (const TaskId c : consumers_on_complete[t]) activate(c);
     for (const TaskId c : and_consumers[t]) {
@@ -124,80 +103,27 @@ SystemSimResult SystemSimulator::run() {
       const auto* packed = std::get_if<cpa::PackedActivation>(&system_.activation(frame));
       if (packed->inputs[idx].coupling == SignalCoupling::kTriggering) activate(frame);
     }
-  };
-
-  // The delivery fan-out after a frame completes.
-  const auto deliver_frame = [&](TaskId frame) {
-    FrameState& st = frame_state[frame];
-    // Response bookkeeping.
-    responses[frame].push_back(cal.now() - st.request_times.front());
-    st.request_times.pop_front();
-    notify_completion(frame);
-    if (st.latched.empty()) return;  // non-packed bus task: nothing to unpack
-    const std::vector<bool> snapshot = st.latched.front();
+    FrameState& st = frame_state[t];
+    if (st.latched.empty()) return;  // not a packed frame
+    const std::vector<bool> snapshot = std::move(st.latched.front());
     st.latched.pop_front();
     for (std::size_t i = 0; i < snapshot.size(); ++i) {
       if (!snapshot[i]) continue;
-      const auto it = unpack_consumers[frame].find(i);
-      if (it == unpack_consumers[frame].end()) continue;
+      const auto it = unpack_consumers[t].find(i);
+      if (it == unpack_consumers[t].end()) continue;
       for (const TaskId c : it->second) activate(c);
     }
   };
 
-  // Build CpuSims.
-  for (auto& members : cpu_members) {
-    std::vector<CpuSim::TaskDef> defs;
-    for (const TaskId t : members)
-      defs.push_back(CpuSim::TaskDef{tasks[t].name, tasks[t].priority, tasks[t].cet.best,
-                                     tasks[t].cet.worst});
-    cpus.push_back(std::make_unique<CpuSim>(cal, std::move(defs), options_.worst_case_exec,
-                                            rng));
-    for (std::size_t local = 0; local < members.size(); ++local)
-      where[members[local]] = {Location::Kind::kCpu, cpus.size() - 1, local};
-  }
-
-  // Build BusSims (hooks filled below via captured ids).
-  for (auto& members : bus_members) {
-    std::vector<BusSim::FrameDef> defs;
-    const std::size_t slot = buses.size();
-    for (std::size_t local = 0; local < members.size(); ++local) {
-      const TaskId t = members[local];
-      defs.push_back(BusSim::FrameDef{
-          tasks[t].name, tasks[t].priority, tasks[t].cet.best, tasks[t].cet.worst,
-          /*on_start=*/
-          [&, t] {
-            FrameState& st = frame_state[t];
-            if (!st.fresh.empty()) {
-              st.latched.push_back(st.fresh);
-              st.fresh.assign(st.fresh.size(), false);
-            }
-          },
-          /*on_complete=*/[&, t] { deliver_frame(t); }});
-      where[t] = {Location::Kind::kBusFrame, slot, local};
-    }
-    buses.push_back(
-        std::make_unique<BusSim>(cal, std::move(defs), options_.worst_case_exec, rng));
-  }
-
-  // ---- activation dispatcher -------------------------------------------
-  activate = [&](TaskId t) {
-    activations[t].push_back(cal.now());
-    const Location& loc = where[t];
-    if (loc.kind == Location::Kind::kCpu) {
-      cpus[loc.resource_slot]->activate(loc.local);
-    } else {
-      frame_state[t].request_times.push_back(cal.now());
-      buses[loc.resource_slot]->request(loc.local);
-    }
-  };
-
-  // CPU completion chains.
-  for (std::size_t slot = 0; slot < cpus.size(); ++slot) {
-    cpus[slot]->on_complete = [&, slot](std::size_t local) {
-      const TaskId t = cpu_members[slot][local];
-      responses[t].push_back(cpus[slot]->responses(local).back());
-      notify_completion(t);
+  for (std::size_t r = 0; r < resources.size(); ++r) {
+    if (!sims[r]) continue;
+    sims[r]->on_start = [&, r](std::size_t i) {
+      FrameState& st = frame_state[members[r][i]];
+      if (st.fresh.empty()) return;  // not a packed frame
+      st.latched.push_back(st.fresh);
+      st.fresh.assign(st.fresh.size(), false);
     };
+    sims[r]->on_complete = [&, r](std::size_t i) { notify_completion(members[r][i]); };
   }
 
   // ---- wire activation specs -----------------------------------------
@@ -221,9 +147,6 @@ SystemSimResult SystemSimulator::run() {
       continue;
     }
     if (const auto* packed = std::get_if<cpa::PackedActivation>(&spec)) {
-      if (where[t].kind != Location::Kind::kBusFrame)
-        throw std::invalid_argument(
-            "SystemSimulator: packed activations are only supported on CAN resources");
       frame_state[t].fresh.assign(packed->inputs.size(), false);
       for (std::size_t i = 0; i < packed->inputs.size(); ++i) {
         const auto& input = packed->inputs[i];
@@ -249,11 +172,6 @@ SystemSimResult SystemSimulator::run() {
   }
 
   // ---- schedule the external stimuli and run ------------------------------
-  const FaultInjection& faults = options_.faults;
-  if (faults.drop_rate < 0.0 || faults.drop_rate > 1.0)
-    throw std::invalid_argument("SystemSimulator: drop_rate must be within [0, 1]");
-  if (faults.extra_jitter < 0 || faults.burst < 1)
-    throw std::invalid_argument("SystemSimulator: need extra_jitter >= 0 and burst >= 1");
   std::uniform_real_distribution<double> drop_dist(0.0, 1.0);
   std::uniform_int_distribution<Time> jitter_dist(0, std::max<Time>(faults.extra_jitter, 0));
   for (const auto& [src, fire] : generators) {
@@ -273,15 +191,8 @@ SystemSimResult SystemSimulator::run() {
 
   // ---- collect -------------------------------------------------------
   SystemSimResult result;
-  for (TaskId t = 0; t < tasks.size(); ++t) {
-    SystemSimResult::TaskStats stats;
-    stats.activations = activations[t];
-    stats.responses = responses[t];
-    stats.wcrt = stats.responses.empty()
-                     ? 0
-                     : *std::max_element(stats.responses.begin(), stats.responses.end());
-    result.tasks[tasks[t].name] = std::move(stats);
-  }
+  for (TaskId t = 0; t < tasks.size(); ++t)
+    result.tasks[tasks[t].name] = sims[tasks[t].resource]->stats(local[t]);
   return result;
 }
 

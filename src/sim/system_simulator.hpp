@@ -1,22 +1,27 @@
 #pragma once
 
 /// \file system_simulator.hpp
-/// Discrete-event simulation of an arbitrary cpa::System: every SPP CPU
-/// becomes a preemptive scheduler, every CAN resource a non-preemptive
-/// arbiter, packed activations get COM-layer register/latch semantics, and
-/// activation edges (task outputs, OR/AND junctions, unpack deliveries)
-/// are wired as completion callbacks.
+/// Discrete-event simulation of an arbitrary cpa::System: every resource
+/// becomes one ResourceSim under its own policy (SPP, CAN, round robin,
+/// TDMA, FlexRay static, EDF), packed activations get COM-layer
+/// register/latch semantics, and activation edges (task outputs, OR/AND
+/// junctions, unpack deliveries) are wired as completion callbacks.
 ///
 /// This closes the validation loop at the SYSTEM level: the same System
 /// object analysed by CpaEngine can be executed, and every observed
 /// response time must stay within the analytic worst case
 /// (tests/integration/system_sim_test.cpp).
 ///
-/// Supported subset (throws std::invalid_argument otherwise):
-///   * resources: kSppPreemptive, kSpnpCan;
-///   * packed activations on CAN resources only;
-///   * external activation models that are StandardEventModels (the
-///     simulator must generate conforming traces).
+/// COM semantics (the paper's section 4): a source event writes its
+/// signal's register and marks it fresh; a triggering signal (and the send
+/// timer) additionally requests a frame transmission; when the frame's job
+/// first gets its resource the registers are latched and the fresh flags
+/// cleared; when it completes, the receivers of every signal that was
+/// fresh in the latched snapshot are activated.
+///
+/// Unsupported (run() throws std::invalid_argument): external stimuli,
+/// packed sources or send timers that are not StandardEventModels - the
+/// simulator must generate traces that conform to them.
 
 #include <cstdint>
 #include <map>
@@ -24,16 +29,12 @@
 #include <vector>
 
 #include "model/system.hpp"
+#include "sim/resource_sim.hpp"
 #include "sim/source_generator.hpp"
 
 namespace hem::sim {
 
 struct SystemSimResult {
-  struct TaskStats {
-    std::vector<Time> activations;
-    std::vector<Time> responses;
-    Time wcrt = 0;
-  };
   std::map<std::string, TaskStats> tasks;
 };
 

@@ -75,8 +75,8 @@ class DominanceOracle final : public Oracle {
     sim::SystemSimResult observed;
     try {
       observed = sim::SystemSimulator(*in.system, sopts).run();
-    } catch (const std::invalid_argument&) {
-      return;  // system outside the simulator's supported subset
+    } catch (const std::invalid_argument& e) {
+      throw OracleSkipped(e.what());  // a stimulus the simulator cannot generate
     }
 
     for (const cpa::TaskResult& task : report.tasks) {
@@ -510,12 +510,14 @@ const Oracle* OracleRegistry::find(std::string_view name) const {
   return nullptr;
 }
 
-std::vector<OracleFinding> OracleRegistry::run(const DiffInput& in,
-                                               const DiffOptions& opts) const {
+std::vector<OracleFinding> OracleRegistry::run(const DiffInput& in, const DiffOptions& opts,
+                                               std::vector<OracleSkip>* skips) const {
   std::vector<OracleFinding> findings;
   for (const auto& oracle : oracles_) {
     try {
       oracle->check(in, opts, findings);
+    } catch (const OracleSkipped& e) {
+      if (skips != nullptr) skips->push_back({oracle->name(), e.what()});
     } catch (const std::exception& e) {
       // A throwing oracle is itself a finding (e.g. HEM_VERIFY contract
       // violations raised by deliberately broken models); the fingerprint

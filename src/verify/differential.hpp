@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,6 +65,20 @@ struct OracleFinding {
   [[nodiscard]] std::uint64_t bucket() const;
 };
 
+/// An oracle that could not examine an input, and why (e.g. a stimulus the
+/// simulator cannot generate).  Not a finding: no computation disagreed.
+struct OracleSkip {
+  std::string oracle;
+  std::string reason;
+};
+
+/// Thrown from Oracle::check to skip the input; OracleRegistry::run records
+/// it as an OracleSkip carrying what().
+class OracleSkipped : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// What the oracles examine.  `config_text` is optional: when empty, checks
 /// that need the textual form (the HL001/hemlint cross-check) are skipped —
 /// hemfuzz uses this for injected-fault runs where the text no longer
@@ -87,6 +102,8 @@ class Oracle {
 /// an escaped exception into an "exception"-fingerprint finding for that
 /// oracle (HEM_VERIFY contract violations on deliberately broken models
 /// arrive this way) so one failing oracle never hides the others' verdicts.
+/// An OracleSkipped exception is no finding: it is appended to `skips`
+/// (when given) so callers can count what went unchecked.
 class OracleRegistry {
  public:
   /// Registry with the four built-in oracle families, in a fixed order:
@@ -95,8 +112,8 @@ class OracleRegistry {
 
   void add(std::unique_ptr<Oracle> oracle);
 
-  [[nodiscard]] std::vector<OracleFinding> run(const DiffInput& in,
-                                               const DiffOptions& opts) const;
+  [[nodiscard]] std::vector<OracleFinding> run(const DiffInput& in, const DiffOptions& opts,
+                                               std::vector<OracleSkip>* skips = nullptr) const;
 
   /// Registered oracle by name, or nullptr.
   [[nodiscard]] const Oracle* find(std::string_view name) const;

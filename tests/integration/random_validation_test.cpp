@@ -1,8 +1,9 @@
 // Randomised soundness validation: generate random task/frame sets with
 // bounded utilisation, analyse them, simulate them with conforming random
-// stimuli, and assert that every observed response time stays within the
-// analytic worst case.  The simulator shares no code with the analyses, so
-// a systematic bug in either side shows up as a violation here.
+// stimuli on one ResourceSim, and assert that every observed response time
+// stays within the analytic worst case.  The simulator shares no code with
+// the analyses, so a systematic bug in either side shows up as a violation
+// here.  One suite per scheduling policy.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,12 @@
 
 #include "core/standard_event_model.hpp"
 #include "sched/can_bus.hpp"
+#include "sched/edf.hpp"
+#include "sched/flexray_static.hpp"
+#include "sched/round_robin.hpp"
 #include "sched/spp.hpp"
-#include "sim/bus_sim.hpp"
-#include "sim/cpu_sim.hpp"
+#include "sched/tdma.hpp"
+#include "sim/resource_sim.hpp"
 #include "sim/source_generator.hpp"
 
 namespace hem {
@@ -44,6 +48,38 @@ std::vector<RandomTask> random_task_set(std::mt19937_64& rng, int n_tasks,
   return tasks;
 }
 
+sched::TaskParams analysis_params(const RandomTask& t, int priority) {
+  return sched::TaskParams{t.name, priority, sched::ExecutionTime(t.cet),
+                           StandardEventModel::sporadic(t.period, t.jitter, 0)};
+}
+
+cpa::TaskSpec sim_spec(const RandomTask& t, int priority) {
+  return cpa::TaskSpec{t.name, 0, priority, sched::ExecutionTime(t.cet)};
+}
+
+/// Release every task at conforming arrivals of (period, jitter) up to
+/// `horizon` and run the resource until `horizon + drain`.
+struct Observed {
+  std::vector<sim::TaskStats> stats;
+  Count deadline_misses = 0;
+};
+Observed simulate(const cpa::ResourceSpec& resource, const std::vector<cpa::TaskSpec>& specs,
+                  const std::vector<RandomTask>& tasks, sim::GenMode mode, Time horizon,
+                  Time drain, std::mt19937_64& rng) {
+  sim::EventCalendar cal;
+  sim::ResourceSim res(cal, resource, specs, /*worst_case=*/true, rng);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const auto arrivals =
+        sim::generate_arrivals({tasks[i].period, tasks[i].jitter, 0, 0}, horizon, mode, rng);
+    for (const Time a : arrivals) cal.at(a, [&res, i] { res.activate(i); });
+  }
+  cal.run_until(horizon + drain);
+  Observed out;
+  for (std::size_t i = 0; i < tasks.size(); ++i) out.stats.push_back(res.stats(i));
+  out.deadline_misses = res.deadline_misses();
+  return out;
+}
+
 class RandomSpp : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomSpp, SimulatedResponsesWithinAnalyticBounds) {
@@ -52,36 +88,24 @@ TEST_P(RandomSpp, SimulatedResponsesWithinAnalyticBounds) {
   const auto tasks = random_task_set(rng, size_dist(rng), 0.75);
 
   std::vector<sched::TaskParams> params;
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    params.push_back(sched::TaskParams{
-        tasks[i].name, static_cast<int>(i), sched::ExecutionTime(tasks[i].cet),
-        StandardEventModel::sporadic(tasks[i].period, tasks[i].jitter, 0)});
-  const sched::SppAnalysis analysis(params);
-  const auto bounds = analysis.analyze_all();
+  std::vector<cpa::TaskSpec> specs;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    params.push_back(analysis_params(tasks[i], static_cast<int>(i)));
+    specs.push_back(sim_spec(tasks[i], static_cast<int>(i)));
+  }
+  const auto bounds = sched::SppAnalysis(params).analyze_all();
 
-  // Simulate with several stimuli.
   for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest,
                           sim::GenMode::kRandom}) {
-    sim::EventCalendar cal;
-    std::vector<sim::CpuSim::TaskDef> defs;
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      defs.push_back({tasks[i].name, static_cast<int>(i), tasks[i].cet, tasks[i].cet});
-    sim::CpuSim cpu(cal, defs, true, rng);
-
-    const Time horizon = 100'000;
+    const auto obs = simulate({"cpu", cpa::Policy::kSppPreemptive}, specs, tasks, mode,
+                              100'000, 0, rng);
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const auto arrivals = sim::generate_arrivals(
-          {tasks[i].period, tasks[i].jitter, 0, 0}, horizon, mode, rng);
-      for (const Time a : arrivals) cal.at(a, [&cpu, i] { cpu.activate(i); });
-    }
-    cal.run_until(horizon);
-
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      EXPECT_LE(cpu.worst_response(i), bounds[i].wcrt)
+      EXPECT_LE(obs.stats[i].wcrt, bounds[i].wcrt)
           << "seed=" << GetParam() << " task=" << tasks[i].name << " mode="
           << static_cast<int>(mode);
-      if (!cpu.responses(i).empty())
-        EXPECT_GE(cpu.worst_response(i), bounds[i].bcrt);
+      if (!obs.stats[i].responses.empty()) {
+        EXPECT_GE(obs.stats[i].wcrt, bounds[i].bcrt);
+      }
     }
   }
 }
@@ -96,50 +120,192 @@ TEST_P(RandomCan, SimulatedResponsesWithinAnalyticBounds) {
   const auto frames = random_task_set(rng, size_dist(rng), 0.6);
 
   std::vector<sched::TaskParams> params;
-  for (std::size_t i = 0; i < frames.size(); ++i)
-    params.push_back(sched::TaskParams{
-        frames[i].name, static_cast<int>(i), sched::ExecutionTime(frames[i].cet),
-        StandardEventModel::sporadic(frames[i].period, frames[i].jitter, 0)});
-  const sched::CanBusAnalysis analysis(params);
-  const auto bounds = analysis.analyze_all();
+  std::vector<cpa::TaskSpec> specs;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    params.push_back(analysis_params(frames[i], static_cast<int>(i)));
+    specs.push_back(sim_spec(frames[i], static_cast<int>(i)));
+  }
+  const auto bounds = sched::CanBusAnalysis(params).analyze_all();
 
   for (const auto mode : {sim::GenMode::kEarliest, sim::GenMode::kRandom}) {
-    sim::EventCalendar cal;
-    // Record per-frame request times to measure responses (request ->
-    // completion, FIFO per frame).
-    std::vector<std::vector<Time>> requests(frames.size());
-    std::vector<sim::BusSim::FrameDef> defs;
-    for (std::size_t i = 0; i < frames.size(); ++i)
-      defs.push_back({frames[i].name, static_cast<int>(i), frames[i].cet, frames[i].cet,
-                      nullptr, nullptr});
-    sim::BusSim bus(cal, defs, true, rng);
-
-    const Time horizon = 100'000;
+    const auto obs =
+        simulate({"bus", cpa::Policy::kSpnpCan}, specs, frames, mode, 100'000, 10'000, rng);
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      const auto arrivals = sim::generate_arrivals(
-          {frames[i].period, frames[i].jitter, 0, 0}, horizon, mode, rng);
-      for (const Time a : arrivals) {
-        cal.at(a, [&bus, &requests, i, a] {
-          requests[i].push_back(a);
-          bus.request(i);
-        });
-      }
-    }
-    cal.run_until(horizon + 10'000);
-
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const auto& completions = bus.completions(i);
-      for (std::size_t k = 0; k < completions.size(); ++k) {
-        const Time response = completions[k] - requests[i][k];
-        ASSERT_LE(response, bounds[i].wcrt)
+      const auto& responses = obs.stats[i].responses;
+      for (std::size_t k = 0; k < responses.size(); ++k) {
+        ASSERT_LE(responses[k], bounds[i].wcrt)
             << "seed=" << GetParam() << " frame=" << frames[i].name << " k=" << k;
-        ASSERT_GE(response, bounds[i].bcrt);
+        ASSERT_GE(responses[k], bounds[i].bcrt);
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCan, ::testing::Range<std::uint64_t>(1, 21));
+
+class RandomRoundRobin : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomRoundRobin, SimulatedResponsesWithinAnalyticBounds) {
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> n_dist(2, 4);
+  std::uniform_int_distribution<Time> slot_dist(2, 10);
+  const int n = n_dist(rng);
+  std::vector<RandomTask> tasks;
+  std::vector<sched::RoundRobinTask> analysis_tasks;
+  std::vector<cpa::TaskSpec> specs;
+  std::uniform_int_distribution<Time> period_dist(80, 400);
+  double util = 0.0;
+  for (int i = 0; i < n; ++i) {
+    RandomTask t{"t" + std::to_string(i), period_dist(rng), 0, 0};
+    const double budget = (0.7 - util) / (n - i);
+    t.cet = std::max<Time>(1, static_cast<Time>(budget * static_cast<double>(t.period)));
+    util += static_cast<double>(t.cet) / static_cast<double>(t.period);
+    const Time slot = slot_dist(rng);
+    analysis_tasks.push_back(sched::RoundRobinTask{analysis_params(t, 0), slot});
+    specs.push_back(sim_spec(t, 0));
+    specs.back().slot = slot;
+    tasks.push_back(t);
+  }
+  const auto bounds = sched::RoundRobinAnalysis(analysis_tasks).analyze_all();
+
+  for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kRandom}) {
+    const auto obs =
+        simulate({"rr", cpa::Policy::kRoundRobin}, specs, tasks, mode, 60'000, 5'000, rng);
+    for (int i = 0; i < n; ++i)
+      EXPECT_LE(obs.stats[i].wcrt, bounds[i].wcrt) << "seed=" << GetParam() << " task=" << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomRoundRobin, ::testing::Range<std::uint64_t>(1, 16));
+
+// EDF: no deadline miss when schedulable; observed responses within the
+// analytic WCRT.
+class RandomEdf : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomEdf, ScheduleMatchesAnalysis) {
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> n_dist(2, 4);
+  const int n = n_dist(rng);
+  std::vector<RandomTask> tasks;
+  std::vector<sched::EdfTask> analysis_tasks;
+  std::vector<cpa::TaskSpec> specs;
+  std::uniform_int_distribution<Time> period_dist(40, 300);
+  double util = 0.0;
+  for (int i = 0; i < n; ++i) {
+    RandomTask t{"t" + std::to_string(i), period_dist(rng), 0, 0};
+    const double budget = (0.85 - util) / (n - i);
+    t.cet = std::max<Time>(1, static_cast<Time>(budget * static_cast<double>(t.period)));
+    util += static_cast<double>(t.cet) / static_cast<double>(t.period);
+    // Constrained deadline in [cet + period/4, period].
+    std::uniform_int_distribution<Time> dl_dist(t.cet + t.period / 4, t.period);
+    const Time deadline = dl_dist(rng);
+    analysis_tasks.push_back(sched::EdfTask{analysis_params(t, 0), deadline});
+    specs.push_back(sim_spec(t, 0));
+    specs.back().deadline = deadline;
+    tasks.push_back(t);
+  }
+  const sched::EdfAnalysis analysis(analysis_tasks);
+  const bool schedulable = analysis.schedulable();
+
+  for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest}) {
+    const auto obs = simulate({"edf", cpa::Policy::kEdf}, specs, tasks, mode, 60'000, 5'000, rng);
+    if (schedulable) {
+      EXPECT_EQ(obs.deadline_misses, 0) << "seed=" << GetParam();
+      const auto bounds = analysis.analyze_all();
+      for (int i = 0; i < n; ++i)
+        EXPECT_LE(obs.stats[i].wcrt, bounds[i].wcrt) << "seed=" << GetParam() << " task=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomEdf, ::testing::Range<std::uint64_t>(1, 21));
+
+// TDMA: each task's demand stays below its share of the cycle; jittered
+// sporadic stimuli.
+class RandomTdma : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomTdma, SimulatedResponsesWithinAnalyticBounds) {
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> n_dist(2, 4);
+  std::uniform_int_distribution<Time> slot_dist(2, 12);
+  std::uniform_int_distribution<Time> period_dist(100, 600);
+  std::uniform_int_distribution<Time> jitter_dist(0, 150);
+  std::uniform_int_distribution<Time> idle_dist(0, 20);
+  const int n = n_dist(rng);
+  std::vector<Time> slots;
+  Time cycle = idle_dist(rng);
+  for (int i = 0; i < n; ++i) cycle += slots.emplace_back(slot_dist(rng));
+
+  std::vector<RandomTask> tasks;
+  std::vector<sched::TdmaTask> analysis_tasks;
+  std::vector<cpa::TaskSpec> specs;
+  for (int i = 0; i < n; ++i) {
+    RandomTask t{"t" + std::to_string(i), period_dist(rng), jitter_dist(rng), 0};
+    const double share = 0.8 * static_cast<double>(slots[i]) / static_cast<double>(cycle);
+    t.cet = std::max<Time>(1, static_cast<Time>(share * static_cast<double>(t.period)));
+    analysis_tasks.push_back(sched::TdmaTask{analysis_params(t, 0), slots[i]});
+    specs.push_back(sim_spec(t, 0));
+    specs.back().slot = slots[i];
+    tasks.push_back(t);
+  }
+  const auto bounds = sched::TdmaAnalysis(analysis_tasks, cycle).analyze_all();
+
+  for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest,
+                          sim::GenMode::kRandom}) {
+    const auto obs = simulate({"tdma", cpa::Policy::kTdma, cycle}, specs, tasks, mode, 60'000,
+                              10'000, rng);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_FALSE(obs.stats[i].responses.empty()) << "seed=" << GetParam() << " task=" << i;
+      EXPECT_LE(obs.stats[i].wcrt, bounds[i].wcrt) << "seed=" << GetParam() << " task=" << i;
+      EXPECT_GE(obs.stats[i].wcrt, bounds[i].bcrt) << "seed=" << GetParam() << " task=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomTdma, ::testing::Range<std::uint64_t>(1, 21));
+
+// FlexRay static: frames fit their slots and arrive at most once per cycle
+// in the long run.
+class RandomFlexRay : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomFlexRay, SimulatedResponsesWithinAnalyticBounds) {
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> n_dist(2, 5);
+  std::uniform_int_distribution<Time> slot_dist(3, 10);
+  std::uniform_int_distribution<Time> idle_dist(0, 20);
+  const int n = n_dist(rng);
+  const Time slot_length = slot_dist(rng);
+  const Time cycle = n * slot_length + idle_dist(rng);
+  std::uniform_int_distribution<Time> period_dist(cycle + 1, 5 * cycle);
+  std::uniform_int_distribution<Time> cet_dist(1, slot_length);
+
+  std::vector<RandomTask> frames;
+  std::vector<sched::FlexRayFrame> analysis_frames;
+  std::vector<cpa::TaskSpec> specs;
+  for (int i = 0; i < n; ++i) {
+    RandomTask f{"f" + std::to_string(i), period_dist(rng), 0, cet_dist(rng)};
+    std::uniform_int_distribution<Time> jitter_dist(0, f.period);
+    f.jitter = jitter_dist(rng);
+    analysis_frames.push_back(sched::FlexRayFrame{analysis_params(f, 0)});
+    specs.push_back(sim_spec(f, 0));
+    frames.push_back(f);
+  }
+  const auto bounds =
+      sched::FlexRayStaticAnalysis(analysis_frames, cycle, slot_length).analyze_all();
+
+  for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest,
+                          sim::GenMode::kRandom}) {
+    const auto obs = simulate({"fr", cpa::Policy::kFlexRayStatic, cycle, slot_length}, specs,
+                              frames, mode, 60'000, 10'000, rng);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_FALSE(obs.stats[i].responses.empty()) << "seed=" << GetParam() << " frame=" << i;
+      EXPECT_LE(obs.stats[i].wcrt, bounds[i].wcrt) << "seed=" << GetParam() << " frame=" << i;
+      EXPECT_GE(obs.stats[i].wcrt, bounds[i].bcrt) << "seed=" << GetParam() << " frame=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomFlexRay, ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace hem

@@ -143,6 +143,26 @@ TEST(SynthSystemTest, TimeDrivenMixConsumesNoExtraRandomness) {
   }
 }
 
+TEST(SynthSystemTest, EdfMixGetsImplicitDeadlinesAndConverges) {
+  scenarios::SynthParams p = small_params();
+  p.edf_permille = 500;
+  const System sys = scenarios::build_synth_system(p);
+  sys.validate();
+  int edf = 0;
+  for (const TaskSpec& t : sys.tasks()) {
+    if (sys.resources()[t.resource].policy != Policy::kEdf) {
+      EXPECT_EQ(t.deadline, 0) << t.name;
+      continue;
+    }
+    ++edf;
+    EXPECT_GE(t.deadline, t.cet.worst) << t.name;
+  }
+  EXPECT_GT(edf, 0);
+  const AnalysisReport report = CpaEngine(sys).run();
+  EXPECT_TRUE(report.converged);
+  EXPECT_FALSE(report.degraded());
+}
+
 TEST(SynthSystemTest, RejectsBadTimeDrivenMix) {
   scenarios::SynthParams p = small_params();
   p.tdma_permille = 600;
@@ -150,6 +170,10 @@ TEST(SynthSystemTest, RejectsBadTimeDrivenMix) {
   EXPECT_THROW((void)scenarios::build_synth_system(p), std::invalid_argument);
   p = small_params();
   p.rr_permille = -1;
+  EXPECT_THROW((void)scenarios::build_synth_system(p), std::invalid_argument);
+  p = small_params();
+  p.rr_permille = 500;
+  p.edf_permille = 501;
   EXPECT_THROW((void)scenarios::build_synth_system(p), std::invalid_argument);
 }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -259,18 +258,6 @@ TEST_F(ObsTest, BumpAndObserveAreGatedByCounting) {
   observe(h, 9);
   EXPECT_EQ(c.value(), 3);
   EXPECT_EQ(h.count(), 1);
-}
-
-TEST_F(ObsTest, LockCountedAlwaysAcquires) {
-  std::mutex mu;
-  Counter& contention = registry().counter("test.contention");
-  for (const bool on : {false, true}) {
-    set_counting(on);
-    std::unique_lock<std::mutex> lock(mu, std::defer_lock);
-    lock_counted(lock, contention);
-    EXPECT_TRUE(lock.owns_lock());
-  }
-  EXPECT_EQ(contention.value(), 0) << "uncontended locks must not count";
 }
 
 // ---------------------------------------------------------------------------

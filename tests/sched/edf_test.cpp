@@ -84,5 +84,12 @@ TEST(EdfTest, ValidationErrors) {
       std::invalid_argument);
 }
 
+TEST(EdfTest, BacklogBoundCountsQueuedBurst) {
+  // Two activations can coincide (jitter > period): both are pending at once.
+  const auto burst = StandardEventModel::periodic_with_jitter(50, 60);
+  EdfAnalysis a({et("t", 4, 40, burst)});
+  EXPECT_EQ(a.analyze(0).backlog, 2);
+}
+
 }  // namespace
 }  // namespace hem::sched

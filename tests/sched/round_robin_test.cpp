@@ -64,5 +64,13 @@ TEST(RoundRobinTest, MoreTasksMoreInterference) {
             RoundRobinAnalysis(three).analyze(0).wcrt);
 }
 
+TEST(RoundRobinTest, BacklogBoundCountsQueuedBurst) {
+  // Two activations can coincide (jitter > period): both are pending at once.
+  const auto burst = StandardEventModel::periodic_with_jitter(50, 60);
+  RoundRobinAnalysis a({rr("t", 4, 2, burst), rr("o", 4, 2, periodic(50))});
+  EXPECT_EQ(a.analyze(0).backlog, 2);
+  EXPECT_EQ(a.analyze(1).backlog, 1);
+}
+
 }  // namespace
 }  // namespace hem::sched

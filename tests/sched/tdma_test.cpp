@@ -77,5 +77,13 @@ TEST(TdmaTest, BacklogAcrossActivations) {
   EXPECT_GT(r.wcrt, 10);
 }
 
+TEST(TdmaTest, BacklogBoundCountsQueuedBurst) {
+  // Two activations can coincide (jitter > period); the first completes
+  // at 10, so both are pending at once.
+  const auto burst = StandardEventModel::periodic_with_jitter(50, 60);
+  TdmaAnalysis a({tt("t", 4, 4, burst)}, 10);
+  EXPECT_EQ(a.analyze(0).backlog, 2);
+}
+
 }  // namespace
 }  // namespace hem::sched

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/delta_function_model.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/textual_config.hpp"
 #include "scenarios/synth.hpp"
@@ -71,6 +72,42 @@ TEST(OracleRegistryTest, CleanOnHealthySynthSystems) {
     in.system = &sys;
     in.config_text = text;
     const auto findings = registry.run(in, fast_options());
+    EXPECT_TRUE(findings.empty()) << "seed " << seed << ":\n" << dump(findings);
+  }
+}
+
+TEST(OracleRegistryTest, DominanceSkipIsCountedWithTheSimulatorsReason) {
+  // The simulator generates StandardEventModel stimuli only; a delta-
+  // function external is skipped, and the skip says why.
+  System sys;
+  const auto cpu = sys.add_resource({"cpu", cpa::Policy::kSppPreemptive});
+  const auto t = sys.add_task({"t", cpu, 1, sched::ExecutionTime(2)});
+  sys.activate_external(t, DeltaFunctionModel::periodic_burst(2, 5, 100));
+  DiffInput in;
+  in.system = &sys;
+  std::vector<OracleSkip> skips;
+  const auto findings =
+      OracleRegistry::with_builtin_oracles().run(in, fast_options(), &skips);
+  EXPECT_TRUE(findings.empty()) << dump(findings);
+  ASSERT_EQ(skips.size(), 1u);
+  EXPECT_EQ(skips[0].oracle, "dominance");
+  EXPECT_NE(skips[0].reason.find("StandardEventModel"), std::string::npos) << skips[0].reason;
+}
+
+TEST(OracleRegistryTest, DominanceChecksRoundRobinAndEdfCpus) {
+  const OracleRegistry registry = OracleRegistry::with_builtin_oracles();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    scenarios::SynthParams p = small_params(seed, seed % 2 == 0 ? 300 : 0);
+    p.rr_permille = 500;
+    p.edf_permille = 500;
+    const System sys = scenarios::build_synth_system(p);
+    const std::string text = scenarios::to_config_text(sys);
+    DiffInput in;
+    in.system = &sys;
+    in.config_text = text;
+    std::vector<OracleSkip> skips;
+    const auto findings = registry.run(in, fast_options(), &skips);
+    EXPECT_TRUE(skips.empty()) << "seed " << seed << ": " << skips.front().reason;
     EXPECT_TRUE(findings.empty()) << "seed " << seed << ":\n" << dump(findings);
   }
 }

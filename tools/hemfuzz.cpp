@@ -12,8 +12,10 @@
 // determinism, compilation, degradation.  Variants the engine itself
 // rejects (analysis preconditions a lexical mutation can break, e.g.
 // duplicate priorities) are counted and skipped — every oracle would see
-// the same exception, which is agreement, not a differential.  Failures
-// are bucketed by stable
+// the same exception, which is agreement, not a differential.  An oracle
+// that cannot examine a candidate (the simulator generates only
+// StandardEventModel stimuli) prints a `skip` line with its reason and is
+// counted on the summary line.  Failures are bucketed by stable
 // fingerprint; the first hit of each bucket is minimised with the ddmin
 // shrinker (re-checking the failing oracle after every removal) and written
 // to a reproducer file.
@@ -67,6 +69,8 @@ using hem::verify::DiffOptions;
 using hem::verify::Oracle;
 using hem::verify::OracleFinding;
 using hem::verify::OracleRegistry;
+using hem::verify::OracleSkip;
+using hem::verify::OracleSkipped;
 
 struct Args {
   std::uint64_t seed_lo = 1;
@@ -104,7 +108,8 @@ bool parse_seeds(const std::string& spec, Args& args) {
 }
 
 /// Seed-indexed synthesiser parameters: small systems, varied shape, packed
-/// COM frames on even seeds.  Pure arithmetic — no hidden RNG — so the
+/// COM frames on even seeds, part of the CPUs re-policied as EDF or round
+/// robin on two seeds in three.  Pure arithmetic — no hidden RNG — so the
 /// candidate set is reproducible from the seed range alone.
 hem::scenarios::SynthParams params_for(std::uint64_t seed) {
   hem::scenarios::SynthParams p;
@@ -114,6 +119,8 @@ hem::scenarios::SynthParams params_for(std::uint64_t seed) {
   p.layers = static_cast<int>(1 + seed % 3);
   p.utilization = 0.3 + 0.05 * static_cast<double>(seed % 9);
   p.packed_permille = seed % 2 == 0 ? 250 : 0;
+  p.edf_permille = seed % 3 == 1 ? 400 : 0;
+  p.rr_permille = seed % 3 == 2 ? 400 : 0;
   return p;
 }
 
@@ -129,6 +136,8 @@ std::vector<OracleFinding> run_one(const Oracle& oracle, const DiffInput& in,
   std::vector<OracleFinding> findings;
   try {
     oracle.check(in, opts, findings);
+  } catch (const OracleSkipped&) {
+    // not a finding
   } catch (const std::exception& e) {
     findings.push_back({oracle.name(), "exception", e.what()});
   }
@@ -226,6 +235,7 @@ int main(int argc, char** argv) {
   long candidates = 0;
   long parse_rejects = 0;
   long engine_rejects = 0;
+  long oracle_skips = 0;
   bool out_of_budget = false;
 
   for (std::uint64_t seed = args.seed_lo; seed <= args.seed_hi && !out_of_budget; ++seed) {
@@ -272,7 +282,14 @@ int main(int argc, char** argv) {
       input.system = &*system;
       if (args.inject.empty()) input.config_text = text;
 
-      for (const OracleFinding& finding : registry.run(input, opts)) {
+      std::vector<OracleSkip> skips;
+      const std::vector<OracleFinding> findings = registry.run(input, opts, &skips);
+      for (const OracleSkip& skip : skips) {
+        ++oracle_skips;
+        std::cout << "skip oracle=" << skip.oracle << " seed=" << seed << " variant=" << variant
+                  << " reason=" << skip.reason << "\n";
+      }
+      for (const OracleFinding& finding : findings) {
         const std::uint64_t bucket = finding.bucket();
         if (buckets.count(bucket) != 0) continue;
         buckets.emplace(bucket, finding);
@@ -317,7 +334,8 @@ int main(int argc, char** argv) {
 
   std::cout << "hemfuzz: " << candidates << " candidate(s) from seeds " << args.seed_lo << ".."
             << args.seed_hi << ", " << parse_rejects << " parse reject(s), " << engine_rejects
-            << " engine reject(s), " << buckets.size() << " failure bucket(s)"
+            << " engine reject(s), " << oracle_skips << " oracle skip(s), " << buckets.size()
+            << " failure bucket(s)"
             << (out_of_budget ? " [budget exhausted]" : "") << "\n";
   return buckets.empty() ? 0 : 1;
 }

@@ -14,7 +14,7 @@
 #include "daemon/model_cache.hpp"
 #include "daemon/protocol.hpp"
 #include "exec/journal.hpp"
-#include "exec/worker_process.hpp"
+#include "exec/supervisor.hpp"
 #include "model/engine_snapshot.hpp"
 #include "model/textual_config.hpp"
 #include "obs/obs.hpp"
@@ -51,32 +51,11 @@ obs::Counter& g_jobs_poisoned = obs::registry().counter("daemon.jobs_poisoned");
 obs::Counter& g_poisoned_rejects = obs::registry().counter("daemon.poisoned_rejects");
 obs::Histogram& g_job_ms = obs::registry().histogram("daemon.job_duration_ms");
 
-/// A fingerprint is quarantined once this many workers died running it.
-constexpr int kPoisonThreshold = 2;
-
 [[nodiscard]] std::string error_json(const char* code, const std::string& message) {
   return JsonWriter{}.add("ok", false).add("error", code).add("message", message).str();
 }
 
-[[nodiscard]] bool terminal(JobPhase p) noexcept {
-  return p != JobPhase::kQueued && p != JobPhase::kRunning;
-}
-
 }  // namespace
-
-const char* to_string(JobPhase p) noexcept {
-  switch (p) {
-    case JobPhase::kQueued: return "queued";
-    case JobPhase::kRunning: return "running";
-    case JobPhase::kDone: return "done";
-    case JobPhase::kFailed: return "failed";
-    case JobPhase::kCancelled: return "cancelled";
-    case JobPhase::kAbandoned: return "abandoned";
-    case JobPhase::kCrashed: return "crashed";
-    case JobPhase::kPoisoned: return "poisoned";
-  }
-  return "?";
-}
 
 /// One submitted job.  Immutable identity fields are set at admission;
 /// everything below the marker is guarded by Impl::mx.
@@ -91,7 +70,7 @@ struct Server::JobRecord {
   std::uint64_t conn_id = 0;
 
   // Guarded by Impl::mx.
-  JobPhase phase = JobPhase::kQueued;
+  exec::JobState state = exec::JobState::kQueued;
   bool cached = false;  ///< served from the journal, not run
   exec::CancelReason cancel_reason = exec::CancelReason::kNone;
   long duration_ms = 0;
@@ -105,18 +84,16 @@ struct Server::JobRecord {
 
 namespace {
 
-/// JobPool context payload.  The worker writes `outcome` and reads the
+/// JobPool context payload.  The worker writes `report` and reads the
 /// immutable inputs; it never touches the record (whose mutable state
-/// belongs to the server mutex).  The scheduler reads `outcome` only for
+/// belongs to the server mutex).  The scheduler reads `report` only for
 /// kFinished slots (the join is the synchronisation point); an abandoned
-/// worker's outcome is never read.
+/// worker's report is never read.
 struct DaemonCtx {
   std::shared_ptr<Server::JobRecord> rec;  ///< scheduler-side use only
   std::string config_text;
   std::string label;
-  bool isolated = false;  ///< ran in a forked worker; `worker` is meaningful
-  exec::WorkerReport worker;
-  exec::AttemptOutcome outcome;
+  exec::WorkerReport report;
 };
 
 /// The analysis path of one submission: parse, warm up from the cache,
@@ -124,7 +101,7 @@ struct DaemonCtx {
 /// touches reference-counted state so an abandoned (detached) worker can
 /// never reach freed memory.
 ///
-/// With `session` non-null the engine attempt runs in a forked worker
+/// With an isolated `runner` the engine attempt runs in a forked worker
 /// child instead of this thread.  Parsing and the warm-cache lookup still
 /// happen HERE, pre-fork: the cache mutex may be held by a sibling worker
 /// at any instant, and a child forked at that instant would inherit it
@@ -133,40 +110,36 @@ struct DaemonCtx {
 /// serialisable outcome comes back.  Isolated runs cannot return snapshots
 /// (live DAG pointers do not survive the pipe), so keep_report and
 /// make_snapshot are left off and the warm cache simply is not fed.
-[[nodiscard]] exec::AttemptOutcome run_submission(DaemonCtx& ctx, const ServerOptions& opt,
-                                                  const std::shared_ptr<WarmModelCache>& cache,
-                                                  std::uint64_t fingerprint, long budget_ms,
-                                                  exec::WorkerProcess* session,
-                                                  const exec::CancelToken* token) {
-  exec::AttemptOutcome out;
+[[nodiscard]] exec::WorkerReport run_submission(const DaemonCtx& ctx, const ServerOptions& opt,
+                                                WarmModelCache& cache, std::uint64_t fp,
+                                                const exec::AttemptRunner& runner,
+                                                const exec::CancelToken& token) {
   cpa::ParsedSystem parsed;
   std::shared_ptr<const cpa::EngineSnapshot> warm;
   try {
     std::istringstream in(ctx.config_text);
     parsed = cpa::parse_system_config(in);
-    warm = cache->find_exact(fingerprint);
-    if (warm == nullptr) warm = cache->best_base(parsed.system);
+    warm = cache.find_exact(fp);
+    if (warm == nullptr) warm = cache.best_base(parsed.system);
     if (warm != nullptr) cpa::intern_external_models(parsed.system, *warm);
   } catch (const std::exception& e) {
-    out.message = e.what();  // parse errors: non-transient failure
-    return out;
+    exec::WorkerReport failed;  // parse errors: non-transient failure, nothing forked
+    failed.kind = exec::WorkerExit::kResult;
+    failed.outcome.message = e.what();
+    return failed;
   }
   exec::AttemptOptions aopt;
   aopt.strict = opt.strict;
   aopt.engine_jobs = opt.engine_jobs;
   aopt.max_iterations = opt.max_iterations;
   aopt.warm = warm.get();
-  if (session == nullptr) {
-    aopt.keep_report = true;    // stats (warm_seeded) for the result frame
-    aopt.make_snapshot = true;  // feed the warm cache on convergence
-    return exec::run_analysis_attempt(parsed, ctx.label, aopt, token);
-  }
-  const exec::WorkerLimits limits =
-      exec::limits_from_budget(budget_ms, opt.worker_memory_mb, opt.worker_stack_mb);
-  ctx.worker = session->run(
-      [&parsed, &ctx, &aopt] { return exec::run_analysis_attempt(parsed, ctx.label, aopt, nullptr); },
-      limits, token);
-  return ctx.worker.outcome;
+  aopt.keep_report = !runner.isolated();    // stats (warm_seeded) for the result frame
+  aopt.make_snapshot = !runner.isolated();  // feed the warm cache on convergence
+  return runner.run(
+      [&](const exec::CancelToken* t) {
+        return exec::run_analysis_attempt(parsed, ctx.label, aopt, t);
+      },
+      token);
 }
 
 }  // namespace
@@ -197,9 +170,9 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
   std::map<std::string, int> client_active;  ///< queued + running per client
   std::map<std::uint64_t, std::shared_ptr<JobRecord>> jobs;
   std::deque<std::uint64_t> retired;  ///< terminal ids, oldest first (retention)
-  /// Crash ledger: worker deaths per config fingerprint.  Seeded from the
-  /// journal at startup so quarantine survives daemon restarts.
-  std::map<std::uint64_t, int> crash_counts;
+  /// Worker deaths per config fingerprint.  Seeded from the journal at
+  /// startup so quarantine survives daemon restarts.
+  exec::CrashLedger ledger;
 
   // stats
   long submitted = 0, done = 0, failed = 0, cancelled = 0, abandoned = 0;
@@ -281,12 +254,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     // Rebuild the crash ledger so poisoned configs stay quarantined and a
     // config with one recorded crash keeps its single remaining strike
     // across restarts.
-    for (const exec::JournalEntry& e : journal->entries()) {
-      if (e.status == "crashed")
-        crash_counts[e.fingerprint] = std::max(crash_counts[e.fingerprint], 1);
-      else if (e.status == "poisoned")
-        crash_counts[e.fingerprint] = std::max(crash_counts[e.fingerprint], kPoisonThreshold);
-    }
+    ledger.seed(*journal);
   }
 
   // ---- scheduler -----------------------------------------------------------
@@ -320,18 +288,10 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
 
   /// Force path: every queued job becomes kCancelled(kShutdown).
   void fail_queued_for_shutdown_locked() {
-    for (auto& [client, q] : queues) {
-      for (const std::shared_ptr<JobRecord>& rec : q) {
-        rec->phase = JobPhase::kCancelled;
-        rec->cancel_reason = exec::CancelReason::kShutdown;
-        rec->message = "cancelled by forced shutdown";
-        ++cancelled;
-        --client_active[client];
-        obs::bump(g_jobs_cancelled);
-        journal_terminal(*rec);
-        retire_locked(rec->id);
-      }
-    }
+    for (const auto& [client, q] : queues)
+      for (const std::shared_ptr<JobRecord>& rec : q)
+        cancel_queued_locked(*rec, exec::CancelReason::kShutdown,
+                             "cancelled by forced shutdown");
     queues.clear();
     total_queued = 0;
     cv.notify_all();
@@ -364,35 +324,24 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     }
     if (rec == nullptr) return;  // stale total_queued cannot happen; defensive
     --total_queued;
-    rec->phase = JobPhase::kRunning;
+    rec->state = exec::JobState::kRunning;
     ++in_flight;
     auto ctx = std::make_shared<DaemonCtx>();
     ctx->rec = rec;
     ctx->config_text = std::move(rec->config_text);
     ctx->label = rec->label;
-    const ServerOptions o = opt;
-    const std::shared_ptr<WarmModelCache> c = cache;
-    const std::uint64_t fp = rec->fingerprint;
-    const long budget = rec->budget_ms;
-    if (opt.isolate && exec::WorkerProcess::supported()) {
-      // Sandboxed dispatch: the pool thread parses and warms pre-fork, the
-      // engine runs in a forked child, and the watchdog's escalation is a
-      // true SIGKILL of that child instead of a thread detach.
-      auto session = std::make_shared<exec::WorkerProcess>();
-      ctx->isolated = true;
-      rec->handle = pool->start(
-          rec->label, budget, ctx,
-          [ctx, o, c, fp, budget, session](const exec::CancelToken& token) {
-            ctx->outcome = run_submission(*ctx, o, c, fp, budget, session.get(), &token);
-          },
-          [session] { session->kill(); });
-    } else {
-      rec->handle = pool->start(rec->label, budget, ctx,
-                                [ctx, o, c, fp, budget](const exec::CancelToken& token) {
-                                  ctx->outcome =
-                                      run_submission(*ctx, o, c, fp, budget, nullptr, &token);
-                                });
-    }
+    // Isolated dispatch: the pool thread parses and warms pre-fork, the
+    // engine runs in a forked child, and the watchdog's escalation is a
+    // true SIGKILL of that child instead of a thread detach.
+    const exec::AttemptRunner runner(
+        opt.isolate,
+        exec::limits_from_budget(rec->budget_ms, opt.worker_memory_mb, opt.worker_stack_mb));
+    rec->handle = pool->start(
+        rec->label, rec->budget_ms, ctx,
+        [ctx, o = opt, c = cache, fp = rec->fingerprint, runner](const exec::CancelToken& t) {
+          ctx->report = run_submission(*ctx, o, *c, fp, runner, t);
+        },
+        runner.kill_hook());
   }
 
   void finish(const exec::JobPool::Handle& slot) {
@@ -403,7 +352,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     --client_active[rec->client];
     rec->handle.reset();
     if (slot->phase == exec::JobPool::Slot::kAbandoned) {
-      rec->phase = JobPhase::kAbandoned;
+      rec->state = exec::JobState::kAbandoned;
       rec->duration_ms = static_cast<long>(
           std::chrono::duration_cast<std::chrono::milliseconds>(steady::now() - slot->started)
               .count());
@@ -411,7 +360,9 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
       ++abandoned;
       obs::bump(g_jobs_abandoned);
     } else {
-      exec::AttemptOutcome& out = ctx->outcome;
+      exec::Verdict verdict = exec::classify(std::move(ctx->report));
+      exec::AttemptOutcome& out = verdict.outcome;
+      rec->state = verdict.state;
       rec->duration_ms = out.duration_ms;
       rec->converged = out.converged;
       rec->degraded = out.degraded;
@@ -419,42 +370,39 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
       rec->warm_seeded =
           out.report != nullptr ? out.report->stats.warm_seeded : out.warm_seeded;
       obs::observe(g_job_ms, out.duration_ms);
-      if (ctx->isolated && (ctx->worker.kind == exec::WorkerExit::kCrashed ||
-                            ctx->worker.kind == exec::WorkerExit::kResourceExhausted)) {
-        // The worker process died (signal, OOM, rlimit); the daemon itself
-        // is untouched.  First crash is reported as-is — the client may
-        // resubmit — the second quarantines the config: the ledger spans
-        // submissions and daemon restarts (rebuilt from the journal).
-        const int crashes = ++crash_counts[rec->fingerprint];
-        if (crashes >= kPoisonThreshold) {
-          rec->phase = JobPhase::kPoisoned;
-          rec->message = "poisoned: worker crashed " + std::to_string(crashes) +
-                         " times (last: " + ctx->worker.detail + ")";
-          ++poisoned;
-          obs::bump(g_jobs_poisoned);
-        } else {
-          rec->phase = JobPhase::kCrashed;
-          rec->message = ctx->worker.detail;
-          ++crashed;
-          obs::bump(g_jobs_crashed);
-        }
-      } else if (out.cancelled) {
-        rec->phase = JobPhase::kCancelled;
-        rec->cancel_reason = out.cancel_reason;
-        ++cancelled;
-        obs::bump(g_jobs_cancelled);
-      } else if (out.ok) {
-        rec->phase = JobPhase::kDone;
-        rec->rows = std::move(out.rows);
-        ++done;
-        obs::bump(g_jobs_done);
-        // Isolated runs carry no snapshot (the DAG cannot cross the worker
-        // pipe); only in-process runs feed the warm cache.
-        if (out.snapshot != nullptr) cache->insert(rec->fingerprint, out.snapshot);
-      } else {
-        rec->phase = JobPhase::kFailed;
-        ++failed;
-        obs::bump(g_jobs_failed);
+      switch (verdict.state) {
+        case exec::JobState::kCrashed:
+          // The worker process died (signal, OOM, rlimit); the daemon itself
+          // is untouched.  The first crash is reported as-is (the client may
+          // resubmit); the ledger spans submissions and daemon restarts.
+          ledger.strike(rec->fingerprint);
+          if (ledger.poisoned(rec->fingerprint)) {
+            rec->state = exec::JobState::kPoisoned;
+            rec->message = ledger.poison_message(rec->fingerprint, out.message);
+            ++poisoned;
+            obs::bump(g_jobs_poisoned);
+          } else {
+            ++crashed;
+            obs::bump(g_jobs_crashed);
+          }
+          break;
+        case exec::JobState::kCancelled:
+          rec->cancel_reason = out.cancel_reason;
+          ++cancelled;
+          obs::bump(g_jobs_cancelled);
+          break;
+        case exec::JobState::kDone:
+          rec->rows = std::move(out.rows);
+          ++done;
+          obs::bump(g_jobs_done);
+          // Isolated runs carry no snapshot (the DAG cannot cross the worker
+          // pipe); only in-process runs feed the warm cache.
+          if (out.snapshot != nullptr) cache->insert(rec->fingerprint, out.snapshot);
+          break;
+        default:
+          ++failed;
+          obs::bump(g_jobs_failed);
+          break;
       }
     }
     journal_terminal(*rec);
@@ -470,15 +418,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     exec::JournalEntry e;
     e.config_path = rec.label;
     e.fingerprint = rec.fingerprint;
-    switch (rec.phase) {
-      case JobPhase::kDone: e.status = "done"; break;
-      case JobPhase::kFailed: e.status = "failed"; break;
-      case JobPhase::kCancelled: e.status = "cancelled"; break;
-      case JobPhase::kAbandoned: e.status = "abandoned"; break;
-      case JobPhase::kCrashed: e.status = "crashed"; break;
-      case JobPhase::kPoisoned: e.status = "poisoned"; break;
-      default: return;
-    }
+    e.status = exec::to_string(rec.state);
     e.attempts = 1;
     e.duration_ms = rec.duration_ms;
     e.degraded = rec.degraded;
@@ -610,21 +550,14 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     std::vector<std::shared_ptr<JobRecord>> orphans;
     for (const auto& [id, rec] : jobs)
       if (rec->conn_id == conn_id && !rec->detach &&
-          (rec->phase == JobPhase::kQueued || rec->phase == JobPhase::kRunning))
+          (rec->state == exec::JobState::kQueued || rec->state == exec::JobState::kRunning))
         orphans.push_back(rec);
     for (const std::shared_ptr<JobRecord>& rec : orphans) {
-      if (rec->phase == JobPhase::kQueued) {
+      if (rec->state == exec::JobState::kQueued) {
         remove_from_queue_locked(rec);
-        rec->phase = JobPhase::kCancelled;
-        rec->cancel_reason = exec::CancelReason::kDisconnect;
-        rec->message = "client disconnected";
-        ++cancelled;
         ++disconnect_cancels;
-        --client_active[rec->client];
-        obs::bump(g_jobs_cancelled);
         obs::bump(g_disconnect_cancels);
-        journal_terminal(*rec);
-        retire_locked(rec->id);
+        cancel_queued_locked(*rec, exec::CancelReason::kDisconnect, "client disconnected");
       } else if (rec->handle != nullptr) {
         ++disconnect_cancels;
         obs::bump(g_disconnect_cancels);
@@ -632,6 +565,18 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
       }
     }
     cv.notify_all();
+  }
+
+  /// A queued job (already out of its queue) ends kCancelled.
+  void cancel_queued_locked(JobRecord& rec, exec::CancelReason reason, const char* message) {
+    rec.state = exec::JobState::kCancelled;
+    rec.cancel_reason = reason;
+    rec.message = message;
+    ++cancelled;
+    --client_active[rec.client];
+    obs::bump(g_jobs_cancelled);
+    journal_terminal(rec);
+    retire_locked(rec.id);
   }
 
   void remove_from_queue_locked(const std::shared_ptr<JobRecord>& rec) {
@@ -710,10 +655,17 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
       obs::bump(g_rej_draining);
       return error_json("draining", "daemon is draining, not accepting work");
     }
-    // Quarantine: a config whose workers already crashed twice is refused
-    // without running — submitting the same bytes again cannot end well.
-    if (const auto cit = crash_counts.find(fp);
-        cit != crash_counts.end() && cit->second >= kPoisonThreshold) {
+    // Answered without running: a poisoned config is refused (the same
+    // bytes cannot end well), and a journaled completed run of the
+    // identical bytes is served from the journal (idempotent resubmission).
+    const bool poisoned_fp = ledger.poisoned(fp);
+    const exec::JournalEntry* hit = nullptr;
+    if (!poisoned_fp && journal != nullptr) {
+      std::lock_guard<std::mutex> jlock(jmx);
+      hit = journal->find(fp);
+      if (hit != nullptr && !hit->completed()) hit = nullptr;
+    }
+    if (poisoned_fp || hit != nullptr) {
       auto rec = std::make_shared<JobRecord>();
       rec->id = next_job_id++;
       rec->label = label;
@@ -721,56 +673,31 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
       rec->fingerprint = fp;
       rec->conn_id = conn.id;
       rec->detach = detach_req == 1;
-      rec->phase = JobPhase::kPoisoned;
       rec->cached = true;
-      rec->message = "poisoned: this config crashed its worker " +
-                     std::to_string(cit->second) + " times; refusing to re-run";
+      if (poisoned_fp) {
+        rec->state = exec::JobState::kPoisoned;
+        rec->message = "poisoned: this config crashed its worker " +
+                       std::to_string(ledger.strikes(fp)) + " times; refusing to re-run";
+        ++poisoned_rejects;
+        obs::bump(g_poisoned_rejects);
+      } else {
+        rec->state = exec::JobState::kDone;
+        rec->converged = true;
+        rec->degraded = hit->degraded;
+        rec->duration_ms = hit->duration_ms;
+        rec->rows = hit->rows;
+        ++journal_hits;
+        obs::bump(g_journal_hits);
+      }
       jobs.emplace(rec->id, rec);
       retire_locked(rec->id);
-      ++poisoned_rejects;
-      obs::bump(g_poisoned_rejects);
       return JsonWriter{}
           .add("ok", true)
           .add("id", static_cast<long>(rec->id))
           .add("fingerprint", exec::fingerprint_hex(fp))
-          .add("state", "poisoned")
+          .add("state", exec::to_string(rec->state))
           .add("cached", true)
           .str();
-    }
-    // Idempotent resubmission: a journaled completed run of the identical
-    // bytes is served from the journal without re-running.
-    if (journal != nullptr) {
-      const exec::JournalEntry* e = nullptr;
-      {
-        std::lock_guard<std::mutex> jlock(jmx);
-        e = journal->find(fp);
-      }
-      if (e != nullptr && e->completed()) {
-        auto rec = std::make_shared<JobRecord>();
-        rec->id = next_job_id++;
-        rec->label = label;
-        rec->client = client;
-        rec->fingerprint = fp;
-        rec->conn_id = conn.id;
-        rec->detach = detach_req == 1;
-        rec->phase = JobPhase::kDone;
-        rec->cached = true;
-        rec->converged = true;
-        rec->degraded = e->degraded;
-        rec->duration_ms = e->duration_ms;
-        rec->rows = e->rows;
-        jobs.emplace(rec->id, rec);
-        retire_locked(rec->id);
-        ++journal_hits;
-        obs::bump(g_journal_hits);
-        return JsonWriter{}
-            .add("ok", true)
-            .add("id", static_cast<long>(rec->id))
-            .add("fingerprint", exec::fingerprint_hex(fp))
-            .add("state", "done")
-            .add("cached", true)
-            .str();
-      }
     }
     if (total_queued >= static_cast<std::size_t>(opt.queue_max)) {
       ++rej_overloaded;
@@ -823,7 +750,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     return JsonWriter{}
         .add("ok", true)
         .add("id", id)
-        .add("state", to_string(rec.phase))
+        .add("state", exec::to_string(rec.state))
         .add("cached", rec.cached)
         .add("queue_depth", static_cast<long>(total_queued))
         .str();
@@ -841,26 +768,26 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     const std::shared_ptr<JobRecord> rec = it->second;
     if (block) {
       cv.wait_for(lk, std::chrono::milliseconds(timeout_ms), [&] {
-        return terminal(rec->phase) || stopping.load(std::memory_order_acquire);
+        return exec::terminal(rec->state) || stopping.load(std::memory_order_acquire);
       });
     }
-    if (!terminal(rec->phase)) {
+    if (!exec::terminal(rec->state)) {
       return JsonWriter{}
           .add("ok", true)
           .add("id", id)
-          .add("state", to_string(rec->phase))
+          .add("state", exec::to_string(rec->state))
           .str();
     }
     JsonWriter w;
     w.add("ok", true)
         .add("id", id)
-        .add("state", to_string(rec->phase))
+        .add("state", exec::to_string(rec->state))
         .add("cached", rec->cached)
         .add("converged", rec->converged)
         .add("degraded", rec->degraded)
         .add("duration_ms", rec->duration_ms)
         .add("warm_seeded", rec->warm_seeded);
-    if (rec->phase == JobPhase::kCancelled)
+    if (rec->state == exec::JobState::kCancelled)
       w.add("cancel_reason", exec::to_string(rec->cancel_reason));
     if (!rec->message.empty()) w.add("message", rec->message);
     w.add_strings("rows", rec->rows);
@@ -874,26 +801,19 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     const auto it = jobs.find(static_cast<std::uint64_t>(id));
     if (it == jobs.end())
       return error_json("unknown_id", "no job with id " + std::to_string(id));
-    const std::shared_ptr<JobRecord>& rec = it->second;
-    if (rec->phase == JobPhase::kQueued) {
+    const std::shared_ptr<JobRecord> rec = it->second;  // retirement may erase the entry
+    if (rec->state == exec::JobState::kQueued) {
       remove_from_queue_locked(rec);
-      rec->phase = JobPhase::kCancelled;
-      rec->cancel_reason = exec::CancelReason::kUser;
-      rec->message = "cancelled by client";
-      ++cancelled;
-      --client_active[rec->client];
-      obs::bump(g_jobs_cancelled);
-      journal_terminal(*rec);
-      retire_locked(rec->id);
+      cancel_queued_locked(*rec, exec::CancelReason::kUser, "cancelled by client");
       cv.notify_all();
-    } else if (rec->phase == JobPhase::kRunning && rec->handle != nullptr) {
+    } else if (rec->state == exec::JobState::kRunning && rec->handle != nullptr) {
       pool->cancel(rec->handle, exec::CancelReason::kUser, /*escalate=*/true);
     }
     // Terminal phases: cancel is idempotent, report the state as-is.
     return JsonWriter{}
         .add("ok", true)
         .add("id", id)
-        .add("state", to_string(rec->phase))
+        .add("state", exec::to_string(rec->state))
         .str();
   }
 

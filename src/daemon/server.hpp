@@ -33,9 +33,11 @@
 ///     config whose workers crash twice is quarantined (`poisoned`):
 ///     journaled, counted, and every later submission of the identical
 ///     bytes is refused without running — across daemon restarts, because
-///     the crash ledger is rebuilt from the journal.  Isolated runs skip
-///     warm-cache *insertion* (model DAGs cannot cross the pipe); reads
-///     still warm the child because the lookup happens pre-fork.
+///     the crash ledger is rebuilt from the journal.  Job states, the
+///     ledger and crash classification come from exec/supervisor.hpp,
+///     shared with `hemcpa --batch`.  Isolated runs skip warm-cache
+///     *insertion* (model DAGs cannot cross the pipe); reads still warm
+///     the child because the lookup happens pre-fork.
 ///   * Graceful drain — request_drain() (SIGTERM, or the `drain` verb)
 ///     stops admission, finishes queued and running jobs, and run() exits
 ///     with code 0; request_force_stop() (second SIGTERM) cancels
@@ -79,21 +81,6 @@ struct ServerOptions {
   long worker_stack_mb = 0;    ///< per-worker RLIMIT_STACK cap in MiB; 0 = inherit
 };
 
-/// Lifecycle of one submitted job.  kCrashed = its worker process died
-/// (signal / OOM / rlimit); kPoisoned = quarantined after crashing twice.
-enum class JobPhase {
-  kQueued,
-  kRunning,
-  kDone,
-  kFailed,
-  kCancelled,
-  kAbandoned,
-  kCrashed,
-  kPoisoned,
-};
-
-[[nodiscard]] const char* to_string(JobPhase p) noexcept;
-
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -130,7 +117,6 @@ class Server {
 
   struct Impl;
   struct JobRecord;
-  struct Conn;
 
  private:
   std::shared_ptr<Impl> impl_;  ///< shared with server threads

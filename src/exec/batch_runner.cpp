@@ -5,6 +5,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -14,7 +15,7 @@
 #include "exec/cancel.hpp"
 #include "exec/job_pool.hpp"
 #include "exec/journal.hpp"
-#include "exec/worker_process.hpp"
+#include "exec/supervisor.hpp"
 #include "io/csv.hpp"
 #include "model/textual_config.hpp"
 #include "obs/obs.hpp"
@@ -39,20 +40,14 @@ obs::Counter& g_crash_respawns = obs::registry().counter("batch.crash_respawns")
 obs::Counter& g_poisoned = obs::registry().counter("batch.poisoned");
 obs::Histogram& g_job_ms = obs::registry().histogram("batch.job_duration_ms");
 
-/// A config is quarantined (kPoisoned) once this many worker processes
-/// have died running it: one supervised respawn, then never again.
-constexpr int kPoisonThreshold = 2;
-
 /// Per-dispatch payload carried through JobPool::Slot::context.  The
-/// outcome is written by the worker before it flips its slot to kFinished
+/// report is written by the worker before it flips its slot to kFinished
 /// and read by the scheduler only after joining a finished worker, so no
-/// extra locking is needed; an abandoned worker's outcome is never read.
+/// extra locking is needed; an abandoned worker's report is never read.
 struct AttemptCtx {
   std::size_t index = 0;
   int attempt = 1;
-  bool isolated = false;  ///< ran in a forked worker; `worker` is meaningful
-  WorkerReport worker;
-  AttemptOutcome outcome;
+  WorkerReport report;
 };
 
 /// Run one batch attempt: parse the config file, then hand the parsed
@@ -96,39 +91,13 @@ AttemptOutcome attempt_config(const std::string& path, const BatchOptions& opt, 
 
 }  // namespace
 
-const char* to_string(JobState s) noexcept {
-  switch (s) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kDone:
-      return "done";
-    case JobState::kFailed:
-      return "failed";
-    case JobState::kCancelled:
-      return "cancelled";
-    case JobState::kAbandoned:
-      return "abandoned";
-    case JobState::kCrashed:
-      return "crashed";
-    case JobState::kPoisoned:
-      return "poisoned";
-  }
-  return "queued";
-}
-
 int BatchReport::exit_code() const {
   if (interrupted) return 6;
   bool failed = false;
   bool degraded_any = false;
   for (const JobResult& j : jobs) {
-    if (j.state == JobState::kFailed || j.state == JobState::kCancelled ||
-        j.state == JobState::kAbandoned || j.state == JobState::kCrashed ||
-        j.state == JobState::kPoisoned)
-      failed = true;
-    else if (j.state == JobState::kDone && j.degraded)
-      degraded_any = true;
+    failed = failed || (terminal(j.state) && j.state != JobState::kDone);
+    degraded_any = degraded_any || (j.state == JobState::kDone && j.degraded);
   }
   if (failed) return 5;
   if (degraded_any) return 4;
@@ -147,41 +116,18 @@ void BatchReport::write_csv(std::ostream& os) const {
 }
 
 void BatchReport::write_summary(std::ostream& os) const {
-  long done = 0, degraded_n = 0, failed = 0, cancelled = 0, abandoned_n = 0, queued = 0;
-  long crashed_n = 0, poisoned_n = 0;
+  std::map<JobState, long> count;
+  long degraded_n = 0;
   for (const JobResult& j : jobs) {
-    switch (j.state) {
-      case JobState::kDone:
-        ++done;
-        if (j.degraded) ++degraded_n;
-        break;
-      case JobState::kFailed:
-        ++failed;
-        break;
-      case JobState::kCancelled:
-        ++cancelled;
-        break;
-      case JobState::kAbandoned:
-        ++abandoned_n;
-        break;
-      case JobState::kCrashed:
-        ++crashed_n;
-        break;
-      case JobState::kPoisoned:
-        ++poisoned_n;
-        break;
-      default:
-        ++queued;
-        break;
-    }
+    ++count[j.state];
+    if (j.state == JobState::kDone && j.degraded) ++degraded_n;
   }
-  os << "batch: " << jobs.size() << " configs, " << done << " done";
+  os << "batch: " << jobs.size() << " configs, " << count[JobState::kDone] << " done";
   if (degraded_n > 0) os << " (" << degraded_n << " degraded)";
-  if (failed > 0) os << ", " << failed << " failed";
-  if (cancelled > 0) os << ", " << cancelled << " cancelled";
-  if (abandoned_n > 0) os << ", " << abandoned_n << " abandoned";
-  if (crashed_n > 0) os << ", " << crashed_n << " crashed";
-  if (poisoned_n > 0) os << ", " << poisoned_n << " poisoned";
+  for (const JobState s : {JobState::kFailed, JobState::kCancelled, JobState::kAbandoned,
+                           JobState::kCrashed, JobState::kPoisoned})
+    if (count[s] > 0) os << ", " << count[s] << ' ' << to_string(s);
+  const long queued = count[JobState::kQueued] + count[JobState::kRunning];
   if (queued > 0) os << ", " << queued << " not run";
   if (journal_skips > 0) os << ", " << journal_skips << " restored from journal";
   if (retries > 0) os << ", " << retries << " retries";
@@ -281,12 +227,7 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
     if (journal_enabled && options_.resume) {
       if (const JournalEntry* e = journal.find(configs_[i], j.fingerprint)) {
         j.from_journal = true;
-        j.state = e->status == "done"        ? JobState::kDone
-                  : e->status == "cancelled" ? JobState::kCancelled
-                  : e->status == "abandoned" ? JobState::kAbandoned
-                  : e->status == "crashed"   ? JobState::kCrashed
-                  : e->status == "poisoned"  ? JobState::kPoisoned
-                                             : JobState::kFailed;
+        j.state = parse_job_state(e->status).value_or(JobState::kFailed);
         j.converged = e->completed();
         j.attempts = e->attempts;
         j.duration_ms = e->duration_ms;
@@ -301,12 +242,11 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
   }
 
   std::vector<std::pair<steady::time_point, std::pair<std::size_t, int>>> delayed;
-  std::vector<int> crash_count(configs_.size(), 0);
+  CrashLedger ledger;  // keyed by manifest index
   int in_flight = 0;
   bool interrupted = false;
   const int pool_width = std::max(1, options_.parallel_jobs);
   const int max_attempts = 1 + std::max(0, options_.max_retries);
-  const bool isolate = options_.isolate && WorkerProcess::supported();
 
   const auto log_line = [&](const std::string& text) {
     if (log != nullptr) *log << "[batch] " << text << '\n' << std::flush;
@@ -325,16 +265,20 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
     journal.add(std::move(e));
   };
 
+  // Leaves a job queued and unjournaled so --resume repeats its full
+  // deterministic attempt sequence.
+  const auto leave_for_resume = [&](JobResult& j, const std::string& why) {
+    j.state = JobState::kQueued;
+    j.attempts = 0;
+    j.message = "interrupted before completion";
+    log_line(j.path + ": " + why);
+  };
+
   // The pool supplies the worker threads and the monitor-thread watchdog
-  // (soft-cancel at the wall-clock budget, hard-abandon once the grace
-  // period passes without the cancel taking effect); the retry queue, the
-  // journal, and the report stay here.  The pool's log callback counts
-  // watchdog soft-cancels into the obs registry so the counter keeps its
-  // fire-time semantics.
-  JobPool pool(pool_width, options_.grace_ms, [&](const std::string& line) {
-    if (line.rfind("watchdog: soft-cancelled", 0) == 0) obs::bump(g_watchdog_cancels);
-    log_line(line);
-  });
+  // (soft-cancel at the wall-clock budget, SIGKILL or hard-abandon once the
+  // grace period passes without the cancel taking effect); the retry queue,
+  // the journal, and the report stay here.
+  JobPool pool(pool_width, options_.grace_ms, log_line);
 
   while (true) {
     // Shutdown request: freeze the queue, cancel what is running, drain.
@@ -373,39 +317,18 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
       // a hard-abandoned worker can outlive this function safely.
       const std::string path = configs_[index];
       const BatchOptions opt = options_;
-      if (isolate) {
-        // Fork a sandboxed child for the attempt.  The pool's worker thread
-        // blocks in run() polling the token (a fired token SIGKILLs the
-        // child), and the kill hook gives the watchdog a true SIGKILL
-        // escalation instead of the legacy thread detach.
-        auto session = std::make_shared<WorkerProcess>();
-        ctx->isolated = true;
-        pool.start(
-            path, options_.job_budget_ms, ctx,
-            [ctx, path, opt, attempt, session](const CancelToken& token) {
-              const WorkerLimits limits = limits_from_budget(
-                  opt.job_budget_ms, opt.worker_memory_mb, opt.worker_stack_mb);
-              // The token stays parent-side (a fork would freeze its state),
-              // so the child runs uncancellable and the parent enforces the
-              // budget with SIGKILL.
-              ctx->worker = session->run(
-                  [&path, &opt, attempt] { return attempt_config(path, opt, attempt, nullptr); },
-                  limits, &token);
-              ctx->outcome = ctx->worker.outcome;
-              if (ctx->worker.kind == WorkerExit::kSpawnFailed) {
-                // fork()/pipe() failed: nothing ran, so this is a retryable
-                // environment failure, not a config failure.
-                ctx->outcome.transient = true;
-                ctx->outcome.message = ctx->worker.detail;
-              }
-            },
-            [session] { session->kill(); });
-      } else {
-        pool.start(path, options_.job_budget_ms, ctx,
-                   [ctx, path, opt, attempt](const CancelToken& token) {
-                     ctx->outcome = attempt_config(path, opt, attempt, &token);
-                   });
-      }
+      const AttemptRunner runner(options_.isolate,
+                                 limits_from_budget(options_.job_budget_ms,
+                                                    options_.worker_memory_mb,
+                                                    options_.worker_stack_mb));
+      pool.start(
+          path, options_.job_budget_ms, ctx,
+          [ctx, path, opt, attempt, runner](const CancelToken& token) {
+            ctx->report = runner.run(
+                [&](const CancelToken* t) { return attempt_config(path, opt, attempt, t); },
+                token);
+          },
+          runner.kill_hook());
       ++in_flight;
     }
 
@@ -415,6 +338,8 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
       const std::size_t index = ctx->index;
       JobResult& j = report.jobs[index];
       --in_flight;
+      // A reaped slot is out of the watchdog's hands, so its flag is final.
+      if (slot->watchdog_fired) obs::bump(g_watchdog_cancels);
       if (slot->phase == JobPool::Slot::kAbandoned) {
         j.state = JobState::kAbandoned;
         j.attempts = ctx->attempt;
@@ -428,7 +353,8 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
         log_line(configs_[index] + ": abandoned");
         continue;
       }
-      AttemptOutcome& out = ctx->outcome;
+      Verdict verdict = classify(std::move(ctx->report));
+      AttemptOutcome& out = verdict.outcome;
       j.attempts = ctx->attempt;
       j.duration_ms = out.duration_ms;
       j.converged = out.converged;
@@ -436,62 +362,50 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
       j.transient = out.transient;
       j.message = out.message;
       obs::observe(g_job_ms, out.duration_ms);
-      if (ctx->isolated && (ctx->worker.kind == WorkerExit::kCrashed ||
-                            ctx->worker.kind == WorkerExit::kResourceExhausted)) {
+      if (verdict.state == JobState::kCrashed) {
         // Supervised respawn with two-strikes quarantine: the first worker
         // death earns one backed-off respawn (absorbs one-off flakes / OOM
         // pressure), the second poisons the config so --resume and every
         // later run skip it without re-executing the crasher.
-        const int crashes = ++crash_count[index];
+        const int crashes = ledger.strike(index);
         obs::bump(g_worker_crashes);
-        if (crashes >= kPoisonThreshold) {
+        if (ledger.poisoned(index)) {
           j.state = JobState::kPoisoned;
           j.attempts = crashes;
-          j.message = "poisoned: worker crashed " + std::to_string(crashes) +
-                      " times (last: " + ctx->worker.detail + ")";
+          j.message = ledger.poison_message(index, out.message);
           ++report.poisoned;
           obs::bump(g_poisoned);
           journal_terminal(j);
           log_line(configs_[index] + ": poisoned after " + std::to_string(crashes) +
-                   " worker crashes (" + ctx->worker.detail + ")");
+                   " worker crashes (" + out.message + ")");
         } else if (interrupted) {
           // Shutdown raced the crash: forget it so --resume replays the
           // full deterministic crash/respawn sequence from scratch.
-          --crash_count[index];
-          j.state = JobState::kQueued;
-          j.attempts = 0;
-          j.message = "interrupted before completion";
-          log_line(configs_[index] + ": interrupted, will re-run on --resume");
+          ledger.forgive(index);
+          leave_for_resume(j, "interrupted, will re-run on --resume");
         } else {
           const long backoff = options_.crash_backoff_ms << (crashes - 1);
           delayed.emplace_back(steady::now() + std::chrono::milliseconds(backoff),
                                std::make_pair(index, ctx->attempt));
           j.state = JobState::kQueued;
-          j.message = ctx->worker.detail;
           ++report.crash_respawns;
           obs::bump(g_crash_respawns);
-          log_line(configs_[index] + ": worker crashed (" + ctx->worker.detail +
-                   "), respawning in " + std::to_string(backoff) + " ms (" +
-                   std::to_string(crashes) + "/" + std::to_string(kPoisonThreshold) +
-                   " strikes)");
+          log_line(configs_[index] + ": worker crashed (" + out.message + "), respawning in " +
+                   std::to_string(backoff) + " ms (strike " + std::to_string(crashes) + ")");
         }
-        continue;
-      }
-      if (out.cancelled && out.cancel_reason == CancelReason::kShutdown) {
+      } else if (verdict.state == JobState::kCancelled &&
+                 out.cancel_reason == CancelReason::kShutdown) {
         // Discarded, not journaled: --resume re-runs it from scratch so
         // the merged report stays byte-identical to an uninterrupted run.
-        j.state = JobState::kQueued;
-        j.attempts = 0;
-        j.message = "interrupted before completion";
-        log_line(configs_[index] + ": interrupted, will re-run on --resume");
-      } else if (out.cancelled) {
+        leave_for_resume(j, "interrupted, will re-run on --resume");
+      } else if (verdict.state == JobState::kCancelled) {
         j.state = JobState::kCancelled;
         j.message = out.message + " [" + to_string(out.cancel_reason) + "]";
         obs::bump(g_jobs_cancelled);
         journal_terminal(j);
         log_line(configs_[index] + ": cancelled (" +
                  std::string(to_string(out.cancel_reason)) + ")");
-      } else if (out.ok) {
+      } else if (verdict.state == JobState::kDone) {
         j.state = JobState::kDone;
         j.rows = std::move(out.rows);
         obs::bump(g_jobs_done);
@@ -509,12 +423,8 @@ BatchReport BatchRunner::run(const volatile std::sig_atomic_t* shutdown_flag, st
                  std::to_string(ctx->attempt + 1) + "/" + std::to_string(max_attempts) +
                  " in " + std::to_string(backoff) + " ms");
       } else if (out.transient && interrupted) {
-        // Would have been retried: leave it queued and unjournaled so a
-        // resumed batch repeats the full deterministic attempt sequence.
-        j.state = JobState::kQueued;
-        j.attempts = 0;
-        j.message = "interrupted before completion";
-        log_line(configs_[index] + ": interrupted during retry window, will re-run");
+        // Would have been retried: leave it for --resume.
+        leave_for_resume(j, "interrupted during retry window, will re-run");
       } else {
         j.state = JobState::kFailed;
         obs::bump(g_jobs_failed);

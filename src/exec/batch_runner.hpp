@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/event_model.hpp"
+#include "exec/supervisor.hpp"
 
 namespace hem::exec {
 
@@ -48,26 +49,11 @@ struct BatchOptions {
   long crash_backoff_ms = 250;  ///< respawn delay after a worker crash (doubles per crash)
 };
 
-/// Lifecycle: kQueued -> kRunning -> {kDone, kFailed, kCancelled,
-/// kAbandoned, kCrashed, kPoisoned}; transient failures loop back through
-/// kRunning until the retry budget is spent.  Jobs interrupted by shutdown
-/// return to kQueued (they are NOT journaled, so --resume re-runs them).
-/// kCrashed records a worker-process death (signal / OOM / rlimit) whose
-/// respawn budget ran out; a config that crashes its worker twice is
-/// promoted to kPoisoned — quarantined so --resume and every later run
-/// skip it without re-executing.
-enum class JobState {
-  kQueued,
-  kRunning,
-  kDone,
-  kFailed,
-  kCancelled,
-  kAbandoned,
-  kCrashed,
-  kPoisoned,
-};
-
-[[nodiscard]] const char* to_string(JobState s) noexcept;
+// JobState (lifecycle, journal status names) and the crash ledger behind
+// two-strikes poisoning live in supervisor.hpp, shared with the daemon.
+// Here transient failures loop back through kRunning until the retry
+// budget is spent, and jobs interrupted by shutdown return to kQueued
+// unjournaled, so --resume re-runs them.
 
 /// Terminal record of one config's journey through the batch.
 struct JobResult {

@@ -24,12 +24,14 @@ JobPool::JobPool(int width, long grace_ms, std::function<void(const std::string&
 JobPool::~JobPool() {
   cancel_all(CancelReason::kShutdown, /*escalate=*/true);
   // Drain: workers either honour the shutdown cancel or get abandoned by
-  // the watchdog once the grace period runs out, so this terminates.
+  // the watchdog once the grace period runs out, so this terminates.  An
+  // empty pool returns at once instead of sleeping out one wait step.
   for (;;) {
-    const std::vector<Handle> reaped = wait_terminal(std::chrono::milliseconds(50));
-    std::lock_guard<std::mutex> lk(sync_->mx);
-    (void)reaped;
-    if (active_.empty()) break;
+    {
+      std::lock_guard<std::mutex> lk(sync_->mx);
+      if (active_.empty()) break;
+    }
+    (void)wait_terminal(std::chrono::milliseconds(50));
   }
   {
     std::lock_guard<std::mutex> lk(sync_->mx);

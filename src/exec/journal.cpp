@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exec/supervisor.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
@@ -70,11 +72,6 @@ bool parse_long(const std::string& value, long& out) {
   }
 }
 
-bool valid_status(const std::string& s) {
-  return s == "done" || s == "failed" || s == "cancelled" || s == "abandoned" ||
-         s == "crashed" || s == "poisoned";
-}
-
 /// Parse one `job ...` line without throwing; `err` explains a refusal.
 bool parse_job_line(const std::string& line, JournalEntry& e, long& rows, std::string& err) {
   if (line.rfind("job ", 0) != 0) {
@@ -89,7 +86,9 @@ bool parse_job_line(const std::string& line, JournalEntry& e, long& rows, std::s
     return false;
   }
   e.fingerprint = std::stoull(v, nullptr, 16);
-  if (!take_field(line, pos, "status", e.status) || !valid_status(e.status)) {
+  // Only terminal states are journaled; an unknown name parses as queued.
+  if (!take_field(line, pos, "status", e.status) ||
+      !terminal(parse_job_state(e.status).value_or(JobState::kQueued))) {
     err = "bad status '" + e.status + "'";
     return false;
   }

@@ -122,6 +122,24 @@ TEST(JobPoolTest, CancelAllStopsEveryRunningJob) {
   EXPECT_EQ(cancelled.load(), 3);
 }
 
+TEST(JobPoolTest, DestructorOfDrainedPoolReturnsPromptly) {
+  // The old drain loop slept one full 50 ms wait step even with nothing
+  // active; the bound is loose enough for sanitizer builds.
+  const auto destroy_ms = [](std::unique_ptr<JobPool> pool) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.reset();
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  EXPECT_LT(destroy_ms(std::make_unique<JobPool>(2, 1000)), 25);
+
+  auto reaped = std::make_unique<JobPool>(1, 1000);
+  reaped->start("quick", 0, nullptr, [](const CancelToken&) {});
+  ASSERT_EQ(reap(*reaped, 1).size(), 1u);
+  EXPECT_LT(destroy_ms(std::move(reaped)), 25);
+}
+
 TEST(JobPoolTest, DestructorSurvivesUnresponsiveJobs) {
   auto release = std::make_shared<std::atomic<bool>>(false);
   {

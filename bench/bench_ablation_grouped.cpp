@@ -17,7 +17,7 @@
 #include "core/grouped_stream_model.hpp"
 #include "core/sem_fit.hpp"
 #include "scenarios/paper_system.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 int main() {
   using namespace hem;
@@ -30,7 +30,8 @@ int main() {
   const auto flat_fit = fit_sem(*grouped);
 
   const auto wcrt_with = [&](const ModelPtr& act) {
-    sched::SppAnalysis cpu({sched::TaskParams{"dispatch", 1, sched::ExecutionTime(10), act}});
+    sched::LocalAnalysis cpu(sched::Policy::kSppPreemptive,
+                             {sched::TaskParams{"dispatch", 1, sched::ExecutionTime(10), act}});
     return cpu.analyze(0).wcrt;
   };
 

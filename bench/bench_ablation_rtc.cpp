@@ -12,7 +12,7 @@
 
 #include "rtc/gpc.hpp"
 #include "scenarios/paper_system.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 int main() {
   using namespace hem;
@@ -34,7 +34,8 @@ int main() {
       tasks.push_back(
           sched::TaskParams{names[i], i + 1, sched::ExecutionTime(cets[i]), activations[i]});
     std::vector<Time> out;
-    for (const auto& r : sched::SppAnalysis(tasks).analyze_all()) out.push_back(r.wcrt);
+    const sched::LocalAnalysis cpu(sched::Policy::kSppPreemptive, tasks);
+    for (const auto& r : cpu.analyze_all()) out.push_back(r.wcrt);
     return out;
   };
 

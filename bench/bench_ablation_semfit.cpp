@@ -10,7 +10,7 @@
 
 #include "core/sem_fit.hpp"
 #include "scenarios/paper_system.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace {
 
@@ -19,11 +19,15 @@ using namespace hem;
 /// Run the CPU1 analysis with the given receiver activation models.
 std::vector<Time> cpu_wcrts(const std::vector<ModelPtr>& activations) {
   const scenarios::PaperSystemParams p;
-  sched::SppAnalysis cpu({
-      sched::TaskParams{"T1", 1, sched::ExecutionTime(p.t1_cet), activations[0]},
-      sched::TaskParams{"T2", 2, sched::ExecutionTime(p.t2_cet), activations[1]},
-      sched::TaskParams{"T3", 3, sched::ExecutionTime(p.t3_cet), activations[2]},
-  });
+  sched::LocalAnalysis cpu(sched::Policy::kSppPreemptive,
+                           {
+                               sched::TaskParams{"T1", 1, sched::ExecutionTime(p.t1_cet),
+                                                 activations[0]},
+                               sched::TaskParams{"T2", 2, sched::ExecutionTime(p.t2_cet),
+                                                 activations[1]},
+                               sched::TaskParams{"T3", 3, sched::ExecutionTime(p.t3_cet),
+                                                 activations[2]},
+                           });
   std::vector<Time> out;
   for (const auto& r : cpu.analyze_all()) out.push_back(r.wcrt);
   return out;

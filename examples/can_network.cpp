@@ -69,7 +69,7 @@ int main() {
                                            *layer.frame(i).transmission_time,
                                            layer.activation_model(i)});
   }
-  sched::CanBusAnalysis bus(bus_frames);
+  sched::LocalAnalysis bus(sched::Policy::kSpnpCan, bus_frames);
   const auto bus_results = bus.analyze_all();
 
   std::cout << "=== CAN bus (500 kbit/s) ===\n";

@@ -29,7 +29,8 @@ int main() {
                             {status, SignalCoupling::kPending}});
 
   // Bus transmission: one frame, C = [4, 4], alone on the bus.
-  sched::CanBusAnalysis bus(
+  sched::LocalAnalysis bus(
+      sched::Policy::kSpnpCan,
       {sched::TaskParams{"frame", 1, sched::ExecutionTime(4), hem_in->outer()}});
   const auto frame_rt = bus.analyze(0);
   const auto hem_out = hem_in->after_response(frame_rt.bcrt, frame_rt.wcrt);
@@ -37,12 +38,13 @@ int main() {
             << "]\n";
 
   // --- Scheduling hierarchy: two servers on the receiving CPU -------------
-  sched::SppAnalysis parent({
-      sched::TaskParams{"server_ctrl", 1, sched::ExecutionTime(40),
-                        StandardEventModel::periodic(100)},
-      sched::TaskParams{"server_misc", 2, sched::ExecutionTime(30),
-                        StandardEventModel::periodic(100)},
-  });
+  sched::LocalAnalysis parent(sched::Policy::kSppPreemptive,
+                              {
+                                  sched::TaskParams{"server_ctrl", 1, sched::ExecutionTime(40),
+                                                    StandardEventModel::periodic(100)},
+                                  sched::TaskParams{"server_misc", 2, sched::ExecutionTime(30),
+                                                    StandardEventModel::periodic(100)},
+                              });
   for (const auto& r : parent.analyze_all())
     std::cout << r.name << " on CPU: R+ = " << r.wcrt << " (budget window 100)\n";
 
@@ -50,7 +52,7 @@ int main() {
   //   rx_status (prio 1, C=60): safety handler for the slow pending signal,
   //   rx_ctrl   (prio 2, C=10): control loop on the fast signal,
   //   rx_aux    (prio 3, C=5).
-  const sched::PeriodicServer ctrl_server(100, 40);
+  const auto ctrl_server = std::make_shared<sched::PeriodicServer>(100, 40);
   const auto make_tasks = [&](ModelPtr act_status, ModelPtr act_ctrl, ModelPtr act_aux) {
     return std::vector<sched::TaskParams>{
         {"rx_status", 1, sched::ExecutionTime(60), std::move(act_status)},
@@ -60,7 +62,7 @@ int main() {
   };
 
   std::cout << "\n=== Inside the server, HEM (unpacked per-signal streams) ===\n";
-  sched::ServerSppAnalysis child(
+  sched::LocalAnalysis child(
       ctrl_server, make_tasks(hem_out->inner(2), hem_out->inner(0), hem_out->inner(1)));
   for (const auto& r : child.analyze_all())
     std::cout << r.name << ": R+ = " << r.wcrt << ", busy period " << r.busy_period << "\n";
@@ -70,7 +72,7 @@ int main() {
                                                   frame_rt.wcrt);
   std::cout << "\n=== Same receivers with flat (total-frame) activation ===\n";
   try {
-    sched::ServerSppAnalysis flat_child(ctrl_server, make_tasks(flat, flat, flat));
+    sched::LocalAnalysis flat_child(ctrl_server, make_tasks(flat, flat, flat));
     for (const auto& r : flat_child.analyze_all())
       std::cout << r.name << ": R+ = " << r.wcrt << "\n";
   } catch (const AnalysisError& e) {

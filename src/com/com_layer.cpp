@@ -6,7 +6,7 @@
 #include "core/output_model.hpp"
 #include "core/standard_event_model.hpp"
 #include "hierarchical/pack_constructor.hpp"
-#include "sched/can_bus.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::com {
 
@@ -72,7 +72,8 @@ ComLayer::CanBusResult ComLayer::analyze_on_can(sched::FixpointLimits limits) co
                                        *frames_[i].transmission_time, packed.back()->outer()});
   }
   CanBusResult result;
-  result.responses = sched::CanBusAnalysis(std::move(params), limits).analyze_all();
+  result.responses =
+      sched::LocalAnalysis(sched::Policy::kSpnpCan, std::move(params), limits).analyze_all();
   for (std::size_t i = 0; i < frames_.size(); ++i)
     result.transmitted.push_back(
         packed[i]->after_response(result.responses[i].bcrt, result.responses[i].wcrt));

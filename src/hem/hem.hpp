@@ -6,7 +6,8 @@
 /// Quick tour:
 ///   * core/        event-model algebra: SEM, curves, OR/AND, Theta_tau,
 ///                  shapers (the flat compositional-analysis substrate)
-///   * sched/       local analyses: SPP, CAN (SPNP), round-robin, TDMA,
+///   * sched/       one local busy-window analysis for SPP, CAN (SPNP),
+///                  round-robin, TDMA, FlexRay static, EDF and SPP under
 ///                  periodic-resource servers
 ///   * hierarchical/ hierarchical event models: pack constructor Omega_pa,
 ///                  inner update B, deconstructor Psi  (the paper's core)
@@ -33,14 +34,9 @@
 #include "io/csv.hpp"
 
 #include "sched/busy_window.hpp"
-#include "sched/can_bus.hpp"
-#include "sched/edf.hpp"
-#include "sched/flexray_static.hpp"
+#include "sched/local_analysis.hpp"
 #include "sched/priority_assignment.hpp"
 #include "sched/resource_server.hpp"
-#include "sched/round_robin.hpp"
-#include "sched/spp.hpp"
-#include "sched/tdma.hpp"
 
 #include "hierarchical/hierarchical_event_model.hpp"
 #include "hierarchical/inner_update.hpp"

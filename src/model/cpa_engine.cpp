@@ -5,6 +5,7 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -17,12 +18,7 @@
 #include "hierarchical/inner_update.hpp"
 #include "obs/obs.hpp"
 #include "rtc/compile.hpp"
-#include "sched/can_bus.hpp"
-#include "sched/edf.hpp"
-#include "sched/flexray_static.hpp"
-#include "sched/round_robin.hpp"
-#include "sched/spp.hpp"
-#include "sched/tdma.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::cpa {
 
@@ -101,6 +97,16 @@ obs::Counter& g_cache_rec_extend = obs::registry().counter("engine.cache.rec_ext
 CpaEngine::CpaEngine(const System& system, EngineOptions options)
     : system_(system), options_(options), limits_(options.fixpoint_limits) {
   system_.validate();
+  // Equal priorities leave SPP/CAN tie-breaking undefined.  Each resource's
+  // full task set is checked here, so whether a system is rejected never
+  // depends on resolution order, the overload pre-check or warm seeding.
+  std::vector<std::set<int>> priorities(system_.resources().size());
+  for (const TaskSpec& t : system_.tasks()) {
+    const Policy policy = system_.resources()[t.resource].policy;
+    if (policy == Policy::kSppPreemptive || policy == Policy::kSpnpCan)
+      sched::claim_priority(priorities[t.resource], t.priority, t.name,
+                            sched::analysis_name(policy));
+  }
   state_.resize(system_.tasks().size());
   resource_overloaded_.assign(system_.resources().size(), 0);
   changed_.assign(system_.tasks().size(), 1);
@@ -427,63 +433,18 @@ void CpaEngine::apply_resource_fallback(ResourceId r, const std::vector<TaskId>&
   }
 }
 
-CpaEngine::LocalAnalyzeFn CpaEngine::make_local_analysis(ResourceId r,
-                                                         const std::vector<TaskId>& ids) const {
+std::shared_ptr<const sched::LocalAnalysis> CpaEngine::make_local_analysis(
+    ResourceId r, const std::vector<TaskId>& ids) const {
   const auto& tasks = system_.tasks();
   const ResourceSpec& res = system_.resources()[r];
-
-  const auto params_for = [&](TaskId t) {
-    return sched::TaskParams{tasks[t].name, tasks[t].priority, tasks[t].cet,
-                             state_[t].act_flat};
-  };
-
-  // The analysis object owns copies of the task parameters (shared_ptr
-  // activation nodes included) and is immutable after construction, so the
-  // returned closure can be invoked for different slots from different
-  // threads.
-  switch (res.policy) {
-    case Policy::kSppPreemptive: {
-      std::vector<sched::TaskParams> params;
-      for (TaskId t : ids) params.push_back(params_for(t));
-      auto a = std::make_shared<const sched::SppAnalysis>(std::move(params), limits_);
-      return [a](std::size_t i) { return a->analyze(i); };
-    }
-    case Policy::kSpnpCan: {
-      std::vector<sched::TaskParams> params;
-      for (TaskId t : ids) params.push_back(params_for(t));
-      auto a = std::make_shared<const sched::CanBusAnalysis>(std::move(params), limits_);
-      return [a](std::size_t i) { return a->analyze(i); };
-    }
-    case Policy::kRoundRobin: {
-      std::vector<sched::RoundRobinTask> params;
-      for (TaskId t : ids)
-        params.push_back(sched::RoundRobinTask{params_for(t), tasks[t].slot});
-      auto a = std::make_shared<const sched::RoundRobinAnalysis>(std::move(params), limits_);
-      return [a](std::size_t i) { return a->analyze(i); };
-    }
-    case Policy::kTdma: {
-      std::vector<sched::TdmaTask> params;
-      for (TaskId t : ids) params.push_back(sched::TdmaTask{params_for(t), tasks[t].slot});
-      auto a =
-          std::make_shared<const sched::TdmaAnalysis>(std::move(params), res.tdma_cycle, limits_);
-      return [a](std::size_t i) { return a->analyze(i); };
-    }
-    case Policy::kFlexRayStatic: {
-      std::vector<sched::FlexRayFrame> params;
-      for (TaskId t : ids) params.push_back(sched::FlexRayFrame{params_for(t)});
-      auto a = std::make_shared<const sched::FlexRayStaticAnalysis>(
-          std::move(params), res.tdma_cycle, res.slot_length, limits_);
-      return [a](std::size_t i) { return a->analyze(i); };
-    }
-    case Policy::kEdf: {
-      std::vector<sched::EdfTask> params;
-      for (TaskId t : ids)
-        params.push_back(sched::EdfTask{params_for(t), tasks[t].deadline});
-      auto a = std::make_shared<const sched::EdfAnalysis>(std::move(params), limits_);
-      return [a](std::size_t i) { return a->analyze(i); };
-    }
-  }
-  return {};
+  // The analysis owns copies of the task parameters (shared_ptr activation
+  // nodes included).
+  std::vector<sched::TaskParams> params;
+  for (TaskId t : ids)
+    params.push_back(sched::TaskParams{tasks[t].name, tasks[t].priority, tasks[t].cet,
+                                       state_[t].act_flat, tasks[t].slot, tasks[t].deadline});
+  return std::make_shared<const sched::LocalAnalysis>(res.policy, std::move(params), limits_,
+                                                      res.tdma_cycle, res.slot_length);
 }
 
 void CpaEngine::analyze_resources() {
@@ -569,7 +530,8 @@ void CpaEngine::analyze_resources() {
     ResourceId r = 0;
     const std::vector<TaskId>* ids = nullptr;
     const char* cause = "";
-    LocalAnalyzeFn analyze_one;  ///< empty: overload pre-check fallback, no units
+    /// Null: overload pre-check fallback, no units.
+    std::shared_ptr<const sched::LocalAnalysis> analysis;
     std::vector<sched::ResponseResult> results;
     std::vector<std::exception_ptr> errors;
     /// Lowest task slot that failed so far (racy CAS-min).  A unit only
@@ -588,7 +550,7 @@ void CpaEngine::analyze_resources() {
     w.ids = &ids[r];
     w.cause = causes[i];
     if (!options_.strict && resource_overloaded_[r]) continue;  // handled in the reduction
-    w.analyze_one = make_local_analysis(r, ids[r]);
+    w.analysis = make_local_analysis(r, ids[r]);
     w.results.resize(ids[r].size());
     w.errors.resize(ids[r].size());
     for (std::size_t q = 0; q < ids[r].size(); ++q) units.emplace_back(&w, q);
@@ -603,7 +565,7 @@ void CpaEngine::analyze_resources() {
     span.arg("iteration", static_cast<long>(current_iteration_));
     span.arg("task", system_.tasks()[(*w.ids)[q]].name);
     try {
-      w.results[q] = w.analyze_one(q);
+      w.results[q] = w.analysis->analyze(q);
     } catch (...) {
       w.errors[q] = std::current_exception();
       std::size_t cur = w.first_fail.load(std::memory_order_relaxed);
@@ -641,7 +603,7 @@ void CpaEngine::analyze_resources() {
   };
   std::exception_ptr first_strict_error;
   for (ResourceWork& w : work) {
-    if (!w.analyze_one) {
+    if (!w.analysis) {
       // Overload pre-check tripped (graceful mode): no local analysis ran.
       obs::Span span("engine", [&] { return "local:" + system_.resources()[w.r].name; });
       span.arg("cause", w.cause);

@@ -47,7 +47,6 @@
 ///     resource is rethrown, matching the serial engine.
 
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -58,6 +57,10 @@
 
 namespace hem::exec {
 class WorkPool;
+}
+
+namespace hem::sched {
+class LocalAnalysis;
 }
 
 namespace hem::cpa {
@@ -178,14 +181,12 @@ class CpaEngine {
   void check_resource_load();
   void analyze_resources();
 
-  /// Analyse-one-task closure for a resource's local analysis: calling it
-  /// with task slot i (index into `ids`) returns that task's
-  /// ResponseResult.  The underlying policy analysis object is shared and
-  /// immutable after construction, so different slots may be evaluated
-  /// concurrently from different threads.
-  using LocalAnalyzeFn = std::function<sched::ResponseResult(std::size_t)>;
-  [[nodiscard]] LocalAnalyzeFn make_local_analysis(ResourceId r,
-                                                   const std::vector<TaskId>& ids) const;
+  /// The local analysis of resource `r` over its resolved tasks `ids`:
+  /// analyze(i) is the ResponseResult of task ids[i].  It is immutable after
+  /// construction, so different slots may be evaluated concurrently from
+  /// different threads.
+  [[nodiscard]] std::shared_ptr<const sched::LocalAnalysis> make_local_analysis(
+      ResourceId r, const std::vector<TaskId>& ids) const;
   void compute_outputs();
 
   /// Compare this iteration's per-task state (analysed flag, response

@@ -27,15 +27,8 @@ namespace hem::cpa {
 using TaskId = std::size_t;
 using ResourceId = std::size_t;
 
-/// Local scheduling policy of a resource.
-enum class Policy {
-  kSppPreemptive,  ///< static-priority preemptive (CPU)
-  kSpnpCan,        ///< static-priority non-preemptive with blocking (CAN bus)
-  kRoundRobin,     ///< round-robin with per-task slots
-  kTdma,           ///< TDMA with per-task slots and a global cycle
-  kFlexRayStatic,  ///< FlexRay static segment: one slot per frame per cycle
-  kEdf             ///< earliest deadline first (per-task deadlines required)
-};
+/// Local scheduling policy of a resource (the one the local analysis takes).
+using Policy = sched::Policy;
 
 struct ResourceSpec {
   std::string name;

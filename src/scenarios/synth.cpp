@@ -56,6 +56,41 @@ Time draw_period(std::mt19937_64& rng, Time min_period, Time max_period) {
   return std::clamp(sat_mul(scale, factor), min_period, max_period);
 }
 
+/// TDMA slot table of resource `r` from its tasks' WCETs and effective
+/// periods.  With u_i = WCET_i / period_i and U their sum, each slot is
+/// ceil(cycle * u_i * f) with f = 2 / (1 + U) > 1, so every task's share of
+/// the cycle exceeds its utilisation and the slot keeps up with jittered
+/// activations too.  The cycle is the shortest period on the resource (a
+/// slot per own period), but at least n (1 + U) / (1 - U): then the n
+/// rounded-up slots sum to less than cycle * U * f + n <= cycle and fit.
+void size_tdma_slots(cpa::System& sys, cpa::ResourceId r, const std::vector<cpa::TaskId>& ids,
+                     const std::vector<Time>& eff_period) {
+  std::vector<double> util;
+  double total = 0.0;
+  Time shortest = kTimeInfinity;
+  for (const cpa::TaskId t : ids) {
+    util.push_back(static_cast<double>(sys.tasks()[t].cet.worst) /
+                   static_cast<double>(eff_period[t]));
+    total += util.back();
+    shortest = std::min(shortest, eff_period[t]);
+  }
+  // Rounded-up WCETs can push U to 1, where no slot table keeps up; the
+  // cap keeps the arithmetic finite, and the final max keeps the slots
+  // inside the cycle whatever the rounding does.
+  total = std::min(total, 0.99);
+  const double n = static_cast<double>(ids.size());
+  const Time cycle =
+      std::max(shortest, static_cast<Time>(std::ceil(n * (1 + total) / (1 - total))));
+  Time slot_sum = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Time slot = static_cast<Time>(
+        std::ceil(static_cast<double>(cycle) * util[i] * 2.0 / (1.0 + total)));
+    sys.set_task_slot(ids[i], slot);
+    slot_sum += slot;
+  }
+  sys.set_resource_tdma_cycle(r, std::max(cycle, slot_sum));
+}
+
 }  // namespace
 
 cpa::System build_synth_system(const SynthParams& params) {
@@ -232,29 +267,23 @@ cpa::System build_synth_system(const SynthParams& params) {
 
   // Execution times: UUniFast utilisation shares within each resource,
   // scaled by the task's effective activation period.  Time-driven
-  // resources additionally get their slot table here — one slot per task,
-  // sized to fit its WCET, with TDMA cycles of twice the slot sum so every
-  // task's slot recurs with slack.  All slot arithmetic is derived from
-  // already-drawn values: still zero extra RNG draws.
+  // resources additionally get their slot table here, derived from
+  // already-drawn values (still zero extra RNG draws): a round-robin slot
+  // fits its task's WCET; TDMA slots follow size_tdma_slots.
   for (std::size_t r = 0; r < n_res; ++r) {
     const std::vector<double> shares =
         uunifast(rng, on_resource[r].size(), params.utilization);
-    Time slot_sum = 0;
+    const cpa::Policy policy = sys.resources()[r].policy;
     for (std::size_t i = 0; i < on_resource[r].size(); ++i) {
       const cpa::TaskId t = on_resource[r][i];
       const Time wcet = std::max<Time>(
           1, static_cast<Time>(shares[i] * static_cast<double>(eff_period[t])));
       const Time bcet = std::max<Time>(1, wcet / 2);
       sys.set_task_cet(t, sched::ExecutionTime{bcet, wcet});
-      const cpa::Policy policy = sys.resources()[r].policy;
-      if (policy == cpa::Policy::kTdma || policy == cpa::Policy::kRoundRobin) {
-        sys.set_task_slot(t, wcet);
-        slot_sum = sat_add(slot_sum, wcet);
-      }
+      if (policy == cpa::Policy::kRoundRobin) sys.set_task_slot(t, wcet);
       if (policy == cpa::Policy::kEdf) sys.set_task_deadline(t, eff_period[t]);
     }
-    if (sys.resources()[r].policy == cpa::Policy::kTdma)
-      sys.set_resource_tdma_cycle(r, sat_mul(slot_sum, 2));
+    if (policy == cpa::Policy::kTdma) size_tdma_slots(sys, r, on_resource[r], eff_period);
   }
 
   return sys;

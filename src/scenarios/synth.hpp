@@ -53,9 +53,10 @@ struct SynthParams {
   /// driven arbitration alongside the priority-driven default).  Selection
   /// is pure modulo arithmetic over the resource index — zero RNG draws,
   /// so any (tdma, rr) mix leaves every other draw of the same seed
-  /// untouched.  TDMA/RR tasks get slots sized from their worst-case
-  /// execution times and TDMA cycles of twice the slot sum, which keeps
-  /// the time-driven resources schedulable at the same utilisation target.
+  /// untouched.  Round-robin slots fit their task's worst-case execution
+  /// time; a TDMA slot's share of the cycle exceeds its task's utilisation
+  /// and the slots fit the cycle, which keeps the time-driven resources
+  /// schedulable at the same utilisation target.
   int tdma_permille = 0;
   int rr_permille = 0;
   /// Per-mille of CPU resources re-policied as EDF, selected by the same

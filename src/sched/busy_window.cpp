@@ -1,7 +1,6 @@
 #include "sched/busy_window.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/obs.hpp"
 
@@ -72,6 +71,13 @@ Count backlog_bound(const EventModel& activation, const std::vector<Time>& compl
   return worst;
 }
 
+void claim_priority(std::set<int>& seen, int priority, const std::string& task,
+                    const std::string& what) {
+  if (!seen.insert(priority).second)
+    throw std::invalid_argument(what + ": duplicate priority " + std::to_string(priority) +
+                                " (task '" + task + "')");
+}
+
 void validate_priority_task_set(const std::vector<TaskParams>& tasks, const std::string& what) {
   if (tasks.empty()) throw std::invalid_argument(what + ": empty task set");
   std::set<int> prios;
@@ -79,9 +85,7 @@ void validate_priority_task_set(const std::vector<TaskParams>& tasks, const std:
     if (t.name.empty()) throw std::invalid_argument(what + ": task with empty name");
     if (!t.activation)
       throw std::invalid_argument(what + ": task '" + t.name + "' has no activation model");
-    if (!prios.insert(t.priority).second)
-      throw std::invalid_argument(what + ": duplicate priority " + std::to_string(t.priority) +
-                                  " (task '" + t.name + "')");
+    claim_priority(prios, t.priority, t.name, what);
   }
 }
 

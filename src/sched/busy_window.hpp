@@ -1,14 +1,14 @@
 #pragma once
 
 /// \file busy_window.hpp
-/// Shared types and fixpoint machinery for busy-window local analyses
+/// Shared types and fixpoint machinery for the busy-window local analysis
 /// (Lehoczky's technique, as used at the component level of compositional
-/// scheduling analysis).
+/// scheduling analysis; the analysis itself is sched/local_analysis.hpp).
 ///
-/// All local analyses in this library follow the same scheme: determine the
-/// length L of the maximal level-i busy period, the number Q of activations
-/// of the task under analysis inside it, compute per-activation completion
-/// times w(q) as least fixpoints of a demand equation, and report
+/// Every scheduling policy follows the same scheme: determine the length L
+/// of the maximal level-i busy period, the number Q of activations of the
+/// task under analysis inside it, compute per-activation completion times
+/// w(q) as least fixpoints of a demand equation, and report
 ///
 ///     R+ = max_{q in 1..Q} ( w(q) - delta-(q) )
 ///
@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,16 @@
 #include "exec/cancel.hpp"
 
 namespace hem::sched {
+
+/// Local scheduling policy of a resource.
+enum class Policy {
+  kSppPreemptive,  ///< static-priority preemptive (CPU)
+  kSpnpCan,        ///< static-priority non-preemptive with blocking (CAN bus)
+  kRoundRobin,     ///< round-robin with per-task slots
+  kTdma,           ///< TDMA with per-task slots and a global cycle
+  kFlexRayStatic,  ///< FlexRay static segment: one slot per frame per cycle
+  kEdf             ///< earliest deadline first (per-task deadlines required)
+};
 
 /// Best-case / worst-case execution (or transmission) time interval [C-, C+].
 struct ExecutionTime {
@@ -38,12 +49,15 @@ struct ExecutionTime {
   explicit ExecutionTime(Time c) : ExecutionTime(c, c) {}
 };
 
-/// A task (or bus frame) as seen by a local analysis.
+/// A task (or bus frame) as seen by a local analysis.  Each policy reads
+/// only the fields it needs.
 struct TaskParams {
   std::string name;
-  int priority;  ///< numerically smaller value = higher priority
+  int priority;  ///< numerically smaller value = higher priority (SPP, CAN)
   ExecutionTime cet;
   ModelPtr activation;  ///< activation event model (outer stream for HEMs)
+  Time slot = 0;        ///< service per round (round robin) or per cycle (TDMA)
+  Time deadline = 0;    ///< relative deadline (EDF)
 };
 
 /// Result of a local response-time analysis for one task.
@@ -92,6 +106,12 @@ struct FixpointLimits {
 /// \throws AnalysisError when limits are exceeded.
 [[nodiscard]] Time least_fixpoint(const std::function<Time(Time)>& f, Time start,
                                   const FixpointLimits& limits, const std::string& what);
+
+/// Record `priority` of `task` in `seen`.
+/// \throws std::invalid_argument "<what>: duplicate priority P (task 'X')"
+///         if an earlier task already holds it.
+void claim_priority(std::set<int>& seen, int priority, const std::string& task,
+                    const std::string& what);
 
 /// Validate a task set for priority-based analyses: non-empty names,
 /// pairwise distinct priorities, non-null activation models.

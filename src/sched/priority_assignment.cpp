@@ -4,8 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "sched/can_bus.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::sched {
 
@@ -16,7 +15,7 @@ namespace {
 /// blocking only).
 Time response_at_level(const std::vector<OpaTask>& tasks, std::size_t candidate,
                        const std::vector<std::size_t>& unassigned,
-                       const std::vector<std::size_t>& assigned_below, OpaPolicy policy,
+                       const std::vector<std::size_t>& assigned_below, Policy policy,
                        const FixpointLimits& limits) {
   std::vector<TaskParams> params;
   std::size_t candidate_pos = 0;
@@ -40,18 +39,17 @@ Time response_at_level(const std::vector<OpaTask>& tasks, std::size_t candidate,
     params.push_back(std::move(p));
   }
 
-  if (policy == OpaPolicy::kSppPreemptive) {
-    return SppAnalysis(std::move(params), limits).analyze(candidate_pos).wcrt;
-  }
-  return CanBusAnalysis(std::move(params), limits).analyze(candidate_pos).wcrt;
+  return LocalAnalysis(policy, std::move(params), limits).analyze(candidate_pos).wcrt;
 }
 
 }  // namespace
 
 std::optional<std::vector<int>> assign_priorities_opa(const std::vector<OpaTask>& tasks,
-                                                      OpaPolicy policy,
+                                                      Policy policy,
                                                       FixpointLimits limits) {
   if (tasks.empty()) throw std::invalid_argument("assign_priorities_opa: empty task set");
+  if (policy != Policy::kSppPreemptive && policy != Policy::kSpnpCan)
+    throw std::invalid_argument("assign_priorities_opa: needs an SPP or CAN policy");
   for (const auto& t : tasks) {
     if (!t.params.activation)
       throw std::invalid_argument("assign_priorities_opa: task '" + t.params.name +

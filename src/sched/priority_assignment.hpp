@@ -25,15 +25,13 @@ struct OpaTask {
   Time deadline;
 };
 
-/// Scheduling model the assignment is computed for.
-enum class OpaPolicy { kSppPreemptive, kSpnpCan };
-
-/// Compute a feasible priority assignment.
+/// Compute a feasible priority assignment under `policy`, which must be
+/// Policy::kSppPreemptive or Policy::kSpnpCan.
 /// \return priorities aligned with the input order (1 = highest), or
 ///         std::nullopt if no static-priority assignment is feasible under
 ///         the chosen analysis.
 [[nodiscard]] std::optional<std::vector<int>> assign_priorities_opa(
-    const std::vector<OpaTask>& tasks, OpaPolicy policy = OpaPolicy::kSppPreemptive,
+    const std::vector<OpaTask>& tasks, Policy policy = Policy::kSppPreemptive,
     FixpointLimits limits = {});
 
 /// Deadline-monotonic assignment (optimal for constrained deadlines under

@@ -61,72 +61,4 @@ std::string PeriodicServer::describe() const {
   return "PeriodicServer(Pi=" + std::to_string(pi_) + ", Theta=" + std::to_string(theta_) + ")";
 }
 
-ServerSppAnalysis::ServerSppAnalysis(SupplyPtr supply, std::vector<TaskParams> tasks,
-                                     FixpointLimits limits)
-    : supply_(std::move(supply)), tasks_(std::move(tasks)), limits_(limits) {
-  if (!supply_) throw std::invalid_argument("ServerSppAnalysis: null supply model");
-  validate_priority_task_set(tasks_, "ServerSppAnalysis");
-}
-
-ServerSppAnalysis::ServerSppAnalysis(const PeriodicServer& server,
-                                     std::vector<TaskParams> tasks, FixpointLimits limits)
-    : ServerSppAnalysis(std::make_shared<PeriodicServer>(server), std::move(tasks), limits) {}
-
-ResponseResult ServerSppAnalysis::analyze(std::size_t index) const {
-  const TaskParams& self = tasks_.at(index);
-  std::vector<const TaskParams*> hp;
-  for (const auto& t : tasks_)
-    if (t.priority < self.priority) hp.push_back(&t);
-
-  // Closed-window interference (+1), matching the SPP convention.
-  const auto demand = [&](Time w, Count q) {
-    Time sum = sat_mul(self.cet.worst, q);
-    for (const TaskParams* j : hp) {
-      const Count n = j->activation->eta_plus(sat_add(w, 1));
-      if (is_infinite_count(n))
-        throw AnalysisError("ServerSppAnalysis: unbounded burst from '" + j->name + "'");
-      sum = sat_add(sum, sat_mul(j->cet.worst, n));
-    }
-    return sum;
-  };
-
-  // Busy period in physical time: smallest t with sbf(t) >= level-i demand.
-  const Time busy = least_fixpoint(
-      [&](Time w) {
-        const Count own = self.activation->eta_plus(w);
-        if (is_infinite_count(own))
-          throw AnalysisError("ServerSppAnalysis: unbounded burst from '" + self.name + "'");
-        return supply_->sbf_inverse(demand(w, std::max<Count>(1, own)));
-      },
-      supply_->sbf_inverse(self.cet.worst), limits_,
-      "ServerSppAnalysis(" + self.name + ") busy period");
-
-  const Count q_max = std::max<Count>(1, self.activation->eta_plus(busy));
-
-  ResponseResult res;
-  res.name = self.name;
-  res.busy_period = busy;
-  res.activations = q_max;
-  // Best case: full supply available immediately and no interference.
-  res.bcrt = self.cet.best;
-
-  Time w_prev = 0;
-  for (Count q = 1; q <= q_max; ++q) {
-    const Time w = least_fixpoint(
-        [&](Time w_cur) { return supply_->sbf_inverse(demand(w_cur, q)); },
-        std::max(w_prev, supply_->sbf_inverse(sat_mul(self.cet.worst, q))), limits_,
-        "ServerSppAnalysis(" + self.name + ") q=" + std::to_string(q));
-    w_prev = w;
-    res.wcrt = std::max(res.wcrt, w - self.activation->delta_min(q));
-  }
-  return res;
-}
-
-std::vector<ResponseResult> ServerSppAnalysis::analyze_all() const {
-  std::vector<ResponseResult> out;
-  out.reserve(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) out.push_back(analyze(i));
-  return out;
-}
-
 }  // namespace hem::sched

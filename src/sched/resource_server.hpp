@@ -17,8 +17,9 @@
 ///
 /// SPP analysis *under* a server replaces physical time with supplied time:
 /// the q-th completion is the smallest t with sbf(t) >= q*C+_i +
-/// interference(t).  On the parent level, a server is simply a periodic
-/// task (P = Pi, C = Theta), so parent schedulability reuses SppAnalysis.
+/// interference(t) (LocalAnalysis with a SupplyPtr).  On the parent level, a
+/// server is simply a periodic task (P = Pi, C = Theta), so parent
+/// schedulability is a plain SPP LocalAnalysis.
 
 #include <memory>
 #include <string>
@@ -101,29 +102,6 @@ class BoundedDelayServer final : public SupplyModel {
   Time delay_;
   Time num_;
   Time den_;
-};
-
-/// SPP response-time analysis of a task set running inside a resource
-/// server.  Identical structure to SppAnalysis but with the demand equation
-/// inverted through the supply bound function.
-class ServerSppAnalysis {
- public:
-  ServerSppAnalysis(SupplyPtr supply, std::vector<TaskParams> tasks,
-                    FixpointLimits limits = {});
-
-  /// Convenience: run inside a periodic server.
-  ServerSppAnalysis(const PeriodicServer& server, std::vector<TaskParams> tasks,
-                    FixpointLimits limits = {});
-
-  [[nodiscard]] ResponseResult analyze(std::size_t index) const;
-  [[nodiscard]] std::vector<ResponseResult> analyze_all() const;
-
-  [[nodiscard]] const SupplyModel& server() const noexcept { return *supply_; }
-
- private:
-  SupplyPtr supply_;
-  std::vector<TaskParams> tasks_;
-  FixpointLimits limits_;
 };
 
 }  // namespace hem::sched

@@ -278,7 +278,8 @@ class Linter {
              "task '" + tasks_[t].name + "' duplicates priority " +
                  std::to_string(tasks_[t].priority) + " of task '" + it->second +
                  "' on resource '" + parsed_.system.resources()[r].name +
-                 "' (tie-breaking is analysis-dependent" +
+                 "' (the analysis engine rejects equal priorities on SPP and CAN "
+                 "resources" +
                  (policy == cpa::Policy::kSpnpCan ? "; identical CAN identifiers are illegal on "
                                                     "a real bus"
                                                   : "") +

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standard_event_model.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem {
 namespace {
@@ -36,12 +36,13 @@ TEST(LeakyBucketModelTest, BucketOfOneIsSporadic) {
 
 TEST(LeakyBucketModelTest, DrivesInterferenceAnalysis) {
   // A leaky-bucket interferer in a response-time analysis.
-  sched::SppAnalysis a({
-      sched::TaskParams{"bucket", 1, sched::ExecutionTime(2),
-                        std::make_shared<LeakyBucketModel>(3, 50)},
-      sched::TaskParams{"victim", 2, sched::ExecutionTime(5),
-                        StandardEventModel::periodic(200)},
-  });
+  sched::LocalAnalysis a(sched::Policy::kSppPreemptive,
+                         {
+                             sched::TaskParams{"bucket", 1, sched::ExecutionTime(2),
+                                               std::make_shared<LeakyBucketModel>(3, 50)},
+                             sched::TaskParams{"victim", 2, sched::ExecutionTime(5),
+                                               StandardEventModel::periodic(200)},
+                         });
   // Victim: burst of 3 x 2 up front, then drained: w = 5 + 6 = 11.
   EXPECT_EQ(a.analyze(1).wcrt, 11);
 }

@@ -466,6 +466,24 @@ const char* kCrasherConfig =
     "task C resource=CPU1 priority=1 cet=24\n"
     "activate C from=s1\n";
 
+// What the crash detail names.  Natively the worker dies of SIGSEGV and the
+// detail names the signal; under ASan or TSan the sanitizer runtime catches
+// the fault and exits the worker with a nonzero status instead.
+constexpr bool sanitizer_catches_segv() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#else
+  return false;
+#endif
+#else
+  return false;
+#endif
+}
+constexpr const char* kCrashDetail = sanitizer_catches_segv() ? "status" : "signal";
+
 TEST_F(ServerFixture, CrashingConfigIsIsolatedThenPoisoned) {
   if (!exec::WorkerProcess::supported()) GTEST_SKIP() << "no process isolation here";
   ServerOptions opts = test_options("poison");
@@ -479,7 +497,7 @@ TEST_F(ServerFixture, CrashingConfigIsIsolatedThenPoisoned) {
   ASSERT_EQ(json_find(sub1, "ok"), "true") << sub1;
   const std::string res1 = client.wait_result(std::stoull(json_find(sub1, "id")), 20'000);
   EXPECT_EQ(json_find(res1, "state"), "crashed") << res1;
-  EXPECT_NE(json_find(res1, "message").find("signal"), std::string::npos) << res1;
+  EXPECT_NE(json_find(res1, "message").find(kCrashDetail), std::string::npos) << res1;
 
   // Second crash promotes the config to poisoned.
   const std::string sub2 = client.submit(kCrasherConfig);

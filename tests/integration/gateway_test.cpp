@@ -7,8 +7,7 @@
 #include "core/standard_event_model.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/system.hpp"
-#include "sched/can_bus.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::cpa {
 namespace {
@@ -111,18 +110,21 @@ TEST(BacklogTest, SppBacklogBoundsQueueing) {
   // A burst of 3 simultaneous activations on an otherwise idle CPU: the
   // queue holds 3 jobs at the burst instant, draining one at a time.
   const auto burst = StandardEventModel::periodic_with_jitter(100, 250);
-  sched::SppAnalysis a({sched::TaskParams{"t", 1, sched::ExecutionTime(10), burst}});
+  sched::LocalAnalysis a(Policy::kSppPreemptive,
+                        {sched::TaskParams{"t", 1, sched::ExecutionTime(10), burst}});
   const auto r = a.analyze(0);
   EXPECT_EQ(r.backlog, 3);
   // A strictly periodic task never queues more than one activation.
-  sched::SppAnalysis b({sched::TaskParams{"p", 1, sched::ExecutionTime(10),
-                                          StandardEventModel::periodic(100)}});
+  sched::LocalAnalysis b(Policy::kSppPreemptive,
+                        {sched::TaskParams{"p", 1, sched::ExecutionTime(10),
+                                           StandardEventModel::periodic(100)}});
   EXPECT_EQ(b.analyze(0).backlog, 1);
 }
 
 TEST(BacklogTest, CanBacklogCountsQueuedFrames) {
   const auto burst = StandardEventModel::periodic_with_jitter(300, 700);
-  sched::CanBusAnalysis a({sched::TaskParams{"f", 1, sched::ExecutionTime(10), burst}});
+  sched::LocalAnalysis a(Policy::kSpnpCan,
+                        {sched::TaskParams{"f", 1, sched::ExecutionTime(10), burst}});
   EXPECT_EQ(a.analyze(0).backlog, 3);
 }
 

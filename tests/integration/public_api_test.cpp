@@ -21,7 +21,8 @@ TEST(PublicApiTest, ReadmeQuickstartWorks) {
   HemPtr frame = pack({{s1, SignalCoupling::kTriggering}, {s3, SignalCoupling::kPending}});
 
   // Analyse the bus; apply the response interval to the hierarchical stream.
-  sched::CanBusAnalysis bus({{"F1", 1, sched::ExecutionTime(4), frame->outer()}});
+  sched::LocalAnalysis bus(sched::Policy::kSpnpCan,
+                           {{"F1", 1, sched::ExecutionTime(4), frame->outer()}});
   auto rt = bus.analyze(0);
   HemPtr out = frame->after_response(rt.bcrt, rt.wcrt);
 

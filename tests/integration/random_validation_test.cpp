@@ -10,12 +10,7 @@
 #include <random>
 
 #include "core/standard_event_model.hpp"
-#include "sched/can_bus.hpp"
-#include "sched/edf.hpp"
-#include "sched/flexray_static.hpp"
-#include "sched/round_robin.hpp"
-#include "sched/spp.hpp"
-#include "sched/tdma.hpp"
+#include "sched/local_analysis.hpp"
 #include "sim/resource_sim.hpp"
 #include "sim/source_generator.hpp"
 
@@ -93,7 +88,7 @@ TEST_P(RandomSpp, SimulatedResponsesWithinAnalyticBounds) {
     params.push_back(analysis_params(tasks[i], static_cast<int>(i)));
     specs.push_back(sim_spec(tasks[i], static_cast<int>(i)));
   }
-  const auto bounds = sched::SppAnalysis(params).analyze_all();
+  const auto bounds = sched::LocalAnalysis(cpa::Policy::kSppPreemptive, params).analyze_all();
 
   for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest,
                           sim::GenMode::kRandom}) {
@@ -125,7 +120,7 @@ TEST_P(RandomCan, SimulatedResponsesWithinAnalyticBounds) {
     params.push_back(analysis_params(frames[i], static_cast<int>(i)));
     specs.push_back(sim_spec(frames[i], static_cast<int>(i)));
   }
-  const auto bounds = sched::CanBusAnalysis(params).analyze_all();
+  const auto bounds = sched::LocalAnalysis(cpa::Policy::kSpnpCan, params).analyze_all();
 
   for (const auto mode : {sim::GenMode::kEarliest, sim::GenMode::kRandom}) {
     const auto obs =
@@ -151,7 +146,7 @@ TEST_P(RandomRoundRobin, SimulatedResponsesWithinAnalyticBounds) {
   std::uniform_int_distribution<Time> slot_dist(2, 10);
   const int n = n_dist(rng);
   std::vector<RandomTask> tasks;
-  std::vector<sched::RoundRobinTask> analysis_tasks;
+  std::vector<sched::TaskParams> analysis_tasks;
   std::vector<cpa::TaskSpec> specs;
   std::uniform_int_distribution<Time> period_dist(80, 400);
   double util = 0.0;
@@ -161,12 +156,14 @@ TEST_P(RandomRoundRobin, SimulatedResponsesWithinAnalyticBounds) {
     t.cet = std::max<Time>(1, static_cast<Time>(budget * static_cast<double>(t.period)));
     util += static_cast<double>(t.cet) / static_cast<double>(t.period);
     const Time slot = slot_dist(rng);
-    analysis_tasks.push_back(sched::RoundRobinTask{analysis_params(t, 0), slot});
+    analysis_tasks.push_back(analysis_params(t, 0));
+    analysis_tasks.back().slot = slot;
     specs.push_back(sim_spec(t, 0));
     specs.back().slot = slot;
     tasks.push_back(t);
   }
-  const auto bounds = sched::RoundRobinAnalysis(analysis_tasks).analyze_all();
+  const auto bounds =
+      sched::LocalAnalysis(cpa::Policy::kRoundRobin, analysis_tasks).analyze_all();
 
   for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kRandom}) {
     const auto obs =
@@ -187,7 +184,7 @@ TEST_P(RandomEdf, ScheduleMatchesAnalysis) {
   std::uniform_int_distribution<int> n_dist(2, 4);
   const int n = n_dist(rng);
   std::vector<RandomTask> tasks;
-  std::vector<sched::EdfTask> analysis_tasks;
+  std::vector<sched::TaskParams> analysis_tasks;
   std::vector<cpa::TaskSpec> specs;
   std::uniform_int_distribution<Time> period_dist(40, 300);
   double util = 0.0;
@@ -199,12 +196,13 @@ TEST_P(RandomEdf, ScheduleMatchesAnalysis) {
     // Constrained deadline in [cet + period/4, period].
     std::uniform_int_distribution<Time> dl_dist(t.cet + t.period / 4, t.period);
     const Time deadline = dl_dist(rng);
-    analysis_tasks.push_back(sched::EdfTask{analysis_params(t, 0), deadline});
+    analysis_tasks.push_back(analysis_params(t, 0));
+    analysis_tasks.back().deadline = deadline;
     specs.push_back(sim_spec(t, 0));
     specs.back().deadline = deadline;
     tasks.push_back(t);
   }
-  const sched::EdfAnalysis analysis(analysis_tasks);
+  const sched::LocalAnalysis analysis(cpa::Policy::kEdf, analysis_tasks);
   const bool schedulable = analysis.schedulable();
 
   for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest}) {
@@ -237,18 +235,20 @@ TEST_P(RandomTdma, SimulatedResponsesWithinAnalyticBounds) {
   for (int i = 0; i < n; ++i) cycle += slots.emplace_back(slot_dist(rng));
 
   std::vector<RandomTask> tasks;
-  std::vector<sched::TdmaTask> analysis_tasks;
+  std::vector<sched::TaskParams> analysis_tasks;
   std::vector<cpa::TaskSpec> specs;
   for (int i = 0; i < n; ++i) {
     RandomTask t{"t" + std::to_string(i), period_dist(rng), jitter_dist(rng), 0};
     const double share = 0.8 * static_cast<double>(slots[i]) / static_cast<double>(cycle);
     t.cet = std::max<Time>(1, static_cast<Time>(share * static_cast<double>(t.period)));
-    analysis_tasks.push_back(sched::TdmaTask{analysis_params(t, 0), slots[i]});
+    analysis_tasks.push_back(analysis_params(t, 0));
+    analysis_tasks.back().slot = slots[i];
     specs.push_back(sim_spec(t, 0));
     specs.back().slot = slots[i];
     tasks.push_back(t);
   }
-  const auto bounds = sched::TdmaAnalysis(analysis_tasks, cycle).analyze_all();
+  const auto bounds =
+      sched::LocalAnalysis(cpa::Policy::kTdma, analysis_tasks, {}, cycle).analyze_all();
 
   for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest,
                           sim::GenMode::kRandom}) {
@@ -280,18 +280,19 @@ TEST_P(RandomFlexRay, SimulatedResponsesWithinAnalyticBounds) {
   std::uniform_int_distribution<Time> cet_dist(1, slot_length);
 
   std::vector<RandomTask> frames;
-  std::vector<sched::FlexRayFrame> analysis_frames;
+  std::vector<sched::TaskParams> analysis_frames;
   std::vector<cpa::TaskSpec> specs;
   for (int i = 0; i < n; ++i) {
     RandomTask f{"f" + std::to_string(i), period_dist(rng), 0, cet_dist(rng)};
     std::uniform_int_distribution<Time> jitter_dist(0, f.period);
     f.jitter = jitter_dist(rng);
-    analysis_frames.push_back(sched::FlexRayFrame{analysis_params(f, 0)});
+    analysis_frames.push_back(analysis_params(f, 0));
     specs.push_back(sim_spec(f, 0));
     frames.push_back(f);
   }
-  const auto bounds =
-      sched::FlexRayStaticAnalysis(analysis_frames, cycle, slot_length).analyze_all();
+  const auto bounds = sched::LocalAnalysis(cpa::Policy::kFlexRayStatic, analysis_frames, {},
+                                           cycle, slot_length)
+                            .analyze_all();
 
   for (const auto mode : {sim::GenMode::kNominal, sim::GenMode::kEarliest,
                           sim::GenMode::kRandom}) {

@@ -108,17 +108,40 @@ TEST(SynthSystemTest, TimeDrivenMixIsDeterministicAndWellFormed) {
   }
   EXPECT_GT(tdma, 0);
   EXPECT_GT(rr, 0);
-  // Slots fit their task's WCET and TDMA cycles cover the slot sum twice.
+  // Round-robin slots fit their task's WCET.  TDMA slots fit their cycle,
+  // and each slot's share of the cycle is at least its task's utilisation
+  // (WCET times the long-run activation rate).
+  const AnalysisReport report = CpaEngine(a).run();
   std::vector<Time> slot_sum(a.resources().size(), 0);
   for (const TaskSpec& t : a.tasks()) {
-    const Policy policy = a.resources()[t.resource].policy;
-    if (policy != Policy::kTdma && policy != Policy::kRoundRobin) continue;
-    EXPECT_GE(t.slot, t.cet.worst);
+    const ResourceSpec& res = a.resources()[t.resource];
+    if (res.policy == Policy::kRoundRobin) EXPECT_GE(t.slot, t.cet.worst) << t.name;
+    if (res.policy != Policy::kTdma) continue;
     slot_sum[t.resource] += t.slot;
+    const double share = static_cast<double>(t.slot) / static_cast<double>(res.tdma_cycle);
+    const double rate = long_run_rate(*report.task(t.name).activation);
+    EXPECT_GE(share, rate * static_cast<double>(t.cet.worst)) << t.name;
   }
   for (std::size_t r = 0; r < a.resources().size(); ++r)
     if (a.resources()[r].policy == Policy::kTdma)
-      EXPECT_EQ(a.resources()[r].tdma_cycle, 2 * slot_sum[r]);
+      EXPECT_LE(slot_sum[r], a.resources()[r].tdma_cycle) << a.resources()[r].name;
+}
+
+TEST(SynthSystemTest, TdmaMixConvergesWithoutOverload) {
+  // Every CPU on TDMA: the slot tables keep every task within its share.
+  scenarios::SynthParams p = small_params();
+  p.tdma_permille = 1000;
+  const System sys = scenarios::build_synth_system(p);
+  const AnalysisReport report = CpaEngine(sys).run();
+  EXPECT_TRUE(report.converged);
+  int tdma = 0;
+  for (const TaskResult& t : report.tasks) {
+    if (sys.resources()[sys.tasks()[sys.task_id(t.name)].resource].policy != Policy::kTdma)
+      continue;
+    ++tdma;
+    EXPECT_EQ(t.status, TaskStatus::kConverged) << t.name;
+  }
+  EXPECT_GT(tdma, 0);
 }
 
 TEST(SynthSystemTest, TimeDrivenMixConsumesNoExtraRandomness) {

@@ -5,7 +5,6 @@
 #include "core/errors.hpp"
 #include "core/standard_event_model.hpp"
 #include "exec/cancel.hpp"
-#include "sched/spp.hpp"
 
 namespace hem::cpa {
 namespace {

@@ -239,6 +239,30 @@ TEST(GracefulEngineTest, GracefulAndStrictAgreeOnHealthySystems) {
   EXPECT_TRUE(graceful.diagnostics.empty());
 }
 
+TEST(GracefulEngineTest, DuplicatePrioritiesRejectedAtAnyLoad) {
+  // Equal priorities are rejected whatever the load: also at load 1.6,
+  // where the overload pre-check hands the resource fallback bounds
+  // without ever building its local analysis.
+  for (const Policy policy : {Policy::kSppPreemptive, Policy::kSpnpCan}) {
+    for (const Time cet : {Time{2}, Time{8}}) {
+      System sys;
+      const auto r = sys.add_resource({"r", policy});
+      const auto a = sys.add_task({"a", r, 1, sched::ExecutionTime(cet)});
+      const auto b = sys.add_task({"b", r, 1, sched::ExecutionTime(cet)});
+      sys.activate_external(a, periodic(10));
+      sys.activate_external(b, periodic(10));
+      try {
+        (void)CpaEngine(sys).run();
+        ADD_FAILURE() << "expected std::invalid_argument at cet " << cet;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string(policy == Policy::kSpnpCan ? "CanBusAnalysis" : "SppAnalysis") +
+                      ": duplicate priority 1 (task 'b')");
+      }
+    }
+  }
+}
+
 TEST(GracefulEngineTest, DegradedReportIsInfeasibleForSensitivity) {
   System sys;
   const auto cpu = sys.add_resource({"cpu", Policy::kSppPreemptive});

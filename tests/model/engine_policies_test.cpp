@@ -8,8 +8,7 @@
 #include "core/standard_event_model.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/textual_config.hpp"
-#include "sched/edf.hpp"
-#include "sched/flexray_static.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::cpa {
 namespace {
@@ -24,9 +23,9 @@ TEST(EnginePoliciesTest, FlexRayResourceMatchesLocalAnalysis) {
   const auto report = CpaEngine(sys).run();
   EXPECT_EQ(report.task("f").wcrt, 58);  // cycle + C
 
-  sched::FlexRayStaticAnalysis local(
-      {sched::FlexRayFrame{sched::TaskParams{"f", 1, sched::ExecutionTime(8), periodic(500)}}},
-      50, 10);
+  sched::LocalAnalysis local(
+      Policy::kFlexRayStatic,
+      {sched::TaskParams{"f", 1, sched::ExecutionTime(8), periodic(500)}}, {}, 50, 10);
   EXPECT_EQ(report.task("f").wcrt, local.analyze(0).wcrt);
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standard_event_model.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::rtc {
 namespace {
@@ -62,8 +62,9 @@ TEST(FpRtcTest, ChainBoundsDominateBusyWindowAnalysis) {
                                        {"lp", upper_arrival_from(*lp), 4}};
   const auto rtc = analyze_fp_rtc(rtc_tasks);
 
-  sched::SppAnalysis spp({sched::TaskParams{"hp", 1, sched::ExecutionTime(3), hp},
-                          sched::TaskParams{"lp", 2, sched::ExecutionTime(4), lp}});
+  sched::LocalAnalysis spp(sched::Policy::kSppPreemptive,
+                           {sched::TaskParams{"hp", 1, sched::ExecutionTime(3), hp},
+                            sched::TaskParams{"lp", 2, sched::ExecutionTime(4), lp}});
   const auto exact = spp.analyze_all();
 
   for (std::size_t i = 0; i < rtc.size(); ++i) {

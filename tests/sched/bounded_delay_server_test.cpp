@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standard_event_model.hpp"
+#include "sched/local_analysis.hpp"
 #include "sched/resource_server.hpp"
 
 namespace hem::sched {
@@ -50,8 +51,8 @@ TEST(BoundedDelayServerTest, AnalysisCoarserButSound) {
   // abstraction: the abstraction gives larger (but finite) responses.
   const std::vector<TaskParams> tasks{task("a", 1, 2, periodic(40)),
                                       task("b", 2, 3, periodic(80))};
-  const ServerSppAnalysis exact(PeriodicServer(20, 8), tasks);
-  const ServerSppAnalysis coarse(
+  const LocalAnalysis exact(std::make_shared<PeriodicServer>(20, 8), tasks);
+  const LocalAnalysis coarse(
       std::make_shared<BoundedDelayServer>(
           BoundedDelayServer::from_periodic(PeriodicServer(20, 8))),
       tasks);
@@ -65,7 +66,7 @@ TEST(BoundedDelayServerTest, ValidationErrors) {
   EXPECT_THROW(BoundedDelayServer(-1, 1, 2), std::invalid_argument);
   EXPECT_THROW(BoundedDelayServer(5, 0, 2), std::invalid_argument);
   EXPECT_THROW(BoundedDelayServer(5, 3, 2), std::invalid_argument);
-  EXPECT_THROW(ServerSppAnalysis(SupplyPtr{}, {task("t", 1, 1, periodic(10))}),
+  EXPECT_THROW(LocalAnalysis(SupplyPtr{}, {task("t", 1, 1, periodic(10))}),
                std::invalid_argument);
 }
 

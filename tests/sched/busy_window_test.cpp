@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standard_event_model.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::sched {
 namespace {
@@ -69,6 +70,40 @@ TEST(ValidateTaskSetTest, CatchesProblems) {
   EXPECT_NO_THROW(validate_priority_task_set(
       {TaskParams{"a", 1, ExecutionTime(1), m}, TaskParams{"b", 2, ExecutionTime(1), m}},
       "x"));
+}
+
+// Report fingerprints hash diagnostic texts, so each policy keeps its own
+// prefix and wording.
+TEST(LocalAnalysisTest, ValidationTextsKeepPerPolicyPrefix) {
+  const auto m = StandardEventModel::periodic(10);
+  const auto text = [](const auto& build) {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const TaskParams a{"a", 1, ExecutionTime(2), m, 4, 5};
+  TaskParams b = a;
+  b.name = "b";
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kSppPreemptive, {a, b}); }),
+            "SppAnalysis: duplicate priority 1 (task 'b')");
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kSpnpCan, {}); }), "CanBusAnalysis: empty task set");
+  b.slot = 0;
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kRoundRobin, {a, b}); }),
+            "RoundRobinAnalysis: task 'b' needs a positive slot");
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kTdma, {a}, {}, 3); }),
+            "TdmaAnalysis: slots exceed the cycle length");
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kFlexRayStatic, {}, {}, 10, 2); }),
+            "FlexRayStaticAnalysis: no frames");
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kFlexRayStatic, {a}, {}, 10, 1); }),
+            "FlexRayStaticAnalysis: frame 'a' does not fit its slot");
+  b.deadline = 0;
+  EXPECT_EQ(text([&] { LocalAnalysis(Policy::kEdf, {a, b}); }),
+            "EdfAnalysis: task 'b' needs a positive deadline");
+  EXPECT_EQ(text([&] { LocalAnalysis(SupplyPtr{}, {a}); }),
+            "ServerSppAnalysis: null supply model");
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standard_event_model.hpp"
-#include "sched/can_bus.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::sched {
 namespace {
@@ -17,22 +16,16 @@ OpaTask ot(std::string name, Time cet, Time period, Time deadline) {
 }
 
 void verify_assignment(const std::vector<OpaTask>& tasks, const std::vector<int>& prios,
-                       OpaPolicy policy) {
+                       Policy policy) {
   std::vector<TaskParams> params;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     TaskParams p = tasks[i].params;
     p.priority = prios[i];
     params.push_back(std::move(p));
   }
-  if (policy == OpaPolicy::kSppPreemptive) {
-    SppAnalysis a(params);
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      EXPECT_LE(a.analyze(i).wcrt, tasks[i].deadline) << tasks[i].params.name;
-  } else {
-    CanBusAnalysis a(params);
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      EXPECT_LE(a.analyze(i).wcrt, tasks[i].deadline) << tasks[i].params.name;
-  }
+  LocalAnalysis a(policy, params);
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    EXPECT_LE(a.analyze(i).wcrt, tasks[i].deadline) << tasks[i].params.name;
 }
 
 TEST(OpaTest, FindsRateMonotonicLikeAssignment) {
@@ -44,7 +37,7 @@ TEST(OpaTest, FindsRateMonotonicLikeAssignment) {
   // here the heavy slow task must end up lowest, and the result must pass
   // the response-time re-check.
   EXPECT_EQ((*prios)[0], 3);
-  verify_assignment(tasks, *prios, OpaPolicy::kSppPreemptive);
+  verify_assignment(tasks, *prios, Policy::kSppPreemptive);
 }
 
 TEST(OpaTest, SolvesCaseWhereDeadlineMonotonicFails) {
@@ -59,7 +52,7 @@ TEST(OpaTest, SolvesCaseWhereDeadlineMonotonicFails) {
                                    ot("c", 3, 30, 30)};
   const auto prios = assign_priorities_opa(tasks);
   ASSERT_TRUE(prios.has_value());
-  verify_assignment(tasks, *prios, OpaPolicy::kSppPreemptive);
+  verify_assignment(tasks, *prios, Policy::kSppPreemptive);
 }
 
 TEST(OpaTest, InfeasibleSetReported) {
@@ -80,13 +73,13 @@ TEST(OpaTest, CanPolicyAccountsForBlocking) {
   // absorb max lower C.
   // hi at the top still suffers blocking C_lo = 6: R = 6 + 4 = 10.
   const std::vector<OpaTask> tasks{ot("hi", 4, 100, 10), ot("lo", 6, 100, 50)};
-  const auto prios = assign_priorities_opa(tasks, OpaPolicy::kSpnpCan);
+  const auto prios = assign_priorities_opa(tasks, Policy::kSpnpCan);
   ASSERT_TRUE(prios.has_value());
-  verify_assignment(tasks, *prios, OpaPolicy::kSpnpCan);
+  verify_assignment(tasks, *prios, Policy::kSpnpCan);
   // With a deadline below C_lo + C_hi = 10 the set becomes infeasible
   // (either position yields R = 10 > 9).
   const std::vector<OpaTask> tight{ot("hi", 4, 100, 9), ot("lo", 6, 100, 50)};
-  EXPECT_FALSE(assign_priorities_opa(tight, OpaPolicy::kSpnpCan).has_value());
+  EXPECT_FALSE(assign_priorities_opa(tight, Policy::kSpnpCan).has_value());
 }
 
 TEST(OpaTest, WorksWithJitteredActivations) {
@@ -94,7 +87,7 @@ TEST(OpaTest, WorksWithJitteredActivations) {
   tasks[0].params.activation = StandardEventModel::periodic_with_jitter(20, 25);
   const auto prios = assign_priorities_opa(tasks);
   ASSERT_TRUE(prios.has_value());
-  verify_assignment(tasks, *prios, OpaPolicy::kSppPreemptive);
+  verify_assignment(tasks, *prios, Policy::kSppPreemptive);
 }
 
 TEST(OpaTest, ValidationErrors) {

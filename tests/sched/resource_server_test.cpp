@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standard_event_model.hpp"
-#include "sched/spp.hpp"
+#include "sched/local_analysis.hpp"
 
 namespace hem::sched {
 namespace {
@@ -13,6 +13,8 @@ ModelPtr periodic(Time p) { return StandardEventModel::periodic(p); }
 TaskParams task(std::string name, int prio, Time cet, ModelPtr act) {
   return TaskParams{std::move(name), prio, ExecutionTime(cet), std::move(act)};
 }
+
+SupplyPtr server(Time pi, Time theta) { return std::make_shared<PeriodicServer>(pi, theta); }
 
 TEST(PeriodicServerTest, SbfBlackoutAndSlope) {
   const PeriodicServer s(10, 2);  // gap 8, blackout 16
@@ -48,16 +50,16 @@ TEST(PeriodicServerTest, RejectsBadParameters) {
 TEST(ServerSppTest, FullBandwidthServerMatchesPlainSpp) {
   const std::vector<TaskParams> tasks{task("hp", 1, 2, periodic(5)),
                                       task("lp", 2, 4, periodic(20))};
-  const ServerSppAnalysis under_server(PeriodicServer(50, 50), tasks);
-  const SppAnalysis plain(tasks);
+  const LocalAnalysis under_server(server(50, 50), tasks);
+  const LocalAnalysis plain(Policy::kSppPreemptive, tasks);
   for (std::size_t i = 0; i < tasks.size(); ++i)
     EXPECT_EQ(under_server.analyze(i).wcrt, plain.analyze(i).wcrt) << i;
 }
 
 TEST(ServerSppTest, ThrottledServerSlowsTasks) {
   const std::vector<TaskParams> tasks{task("t", 1, 4, periodic(100))};
-  const ServerSppAnalysis half(PeriodicServer(10, 5), tasks);
-  const ServerSppAnalysis full(PeriodicServer(10, 10), tasks);
+  const LocalAnalysis half(server(10, 5), tasks);
+  const LocalAnalysis full(server(10, 10), tasks);
   EXPECT_GT(half.analyze(0).wcrt, full.analyze(0).wcrt);
   // Worst case under (10, 5): blackout 10, then 4 ticks of the next slot:
   // sbf_inverse(4) = gap + 0*Pi + gap + 4 = 5 + 5 + 4 = 14.
@@ -71,12 +73,13 @@ TEST(ServerSppTest, HierarchyComposesWithParentSpp) {
   const PeriodicServer s2(20, 6);
   // Parent schedulability: utilisation 8/20 + 6/20 < 1 and the low-priority
   // "server task" meets its period.
-  SppAnalysis parent({task("srv1", 1, 8, periodic(20)), task("srv2", 2, 6, periodic(20))});
+  LocalAnalysis parent(Policy::kSppPreemptive,
+                       {task("srv1", 1, 8, periodic(20)), task("srv2", 2, 6, periodic(20))});
   EXPECT_LE(parent.analyze(0).wcrt, 20);
   EXPECT_LE(parent.analyze(1).wcrt, 20);
 
-  const ServerSppAnalysis child1(s1, {task("a", 1, 2, periodic(40)),
-                                      task("b", 2, 3, periodic(80))});
+  const LocalAnalysis child1(std::make_shared<PeriodicServer>(s1),
+                             {task("a", 1, 2, periodic(40)), task("b", 2, 3, periodic(80))});
   const auto ra = child1.analyze(0);
   const auto rb = child1.analyze(1);
   EXPECT_GT(ra.wcrt, 2);   // server gaps visible
@@ -86,8 +89,19 @@ TEST(ServerSppTest, HierarchyComposesWithParentSpp) {
 
 TEST(ServerSppTest, OverloadedServerThrows) {
   // Demand 6 per 10 into a server supplying 2 per 10.
-  const ServerSppAnalysis a(PeriodicServer(10, 2), {task("t", 1, 6, periodic(10))});
+  const LocalAnalysis a(server(10, 2), {task("t", 1, 6, periodic(10))});
   EXPECT_THROW(a.analyze(0), AnalysisError);
+}
+
+TEST(ServerSppTest, BacklogBoundCountsQueuedBurst) {
+  // Two activations can coincide (jitter > period); under the (10, 5)
+  // server the first completes at 14 and the second at 23, so both are
+  // pending when the second arrives.
+  const auto burst = StandardEventModel::periodic_with_jitter(50, 60);
+  const LocalAnalysis a(server(10, 5), {task("t", 1, 4, burst)});
+  const auto r = a.analyze(0);
+  EXPECT_EQ(r.wcrt, 23);
+  EXPECT_EQ(r.backlog, 2);
 }
 
 }  // namespace

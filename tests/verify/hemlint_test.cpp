@@ -93,6 +93,7 @@ activate T2 from=s2
   ASSERT_NE(d, nullptr) << dump(result);
   EXPECT_EQ(d->severity, LintSeverity::kWarning);
   EXPECT_EQ(d->line, 6);  // the second task with priority 3
+  EXPECT_NE(d->message.find("engine rejects"), std::string::npos) << d->message;
   EXPECT_EQ(lint_exit_code(result, /*werror=*/false), 0);
   EXPECT_EQ(lint_exit_code(result, /*werror=*/true), 1);
 }

@@ -11,11 +11,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "daemon/model_cache.hpp"
 #include "daemon/protocol.hpp"
 #include "exec/journal.hpp"
 #include "exec/supervisor.hpp"
-#include "model/engine_snapshot.hpp"
 #include "model/textual_config.hpp"
 #include "obs/obs.hpp"
 
@@ -76,7 +74,6 @@ struct Server::JobRecord {
   long duration_ms = 0;
   bool converged = false;
   bool degraded = false;
-  long warm_seeded = 0;
   std::string message;
   std::vector<std::string> rows;
   exec::JobPool::Handle handle;  ///< set while running
@@ -96,32 +93,22 @@ struct DaemonCtx {
   exec::WorkerReport report;
 };
 
-/// The analysis path of one submission: parse, warm up from the cache,
-/// run behind the shared exception firewall.  Runs on a pool worker; only
-/// touches reference-counted state so an abandoned (detached) worker can
-/// never reach freed memory.
+/// The analysis path of one submission: parse, then run a cold engine
+/// attempt in a forked worker child.  Runs on a pool worker; only touches
+/// reference-counted state so an abandoned (detached) worker can never
+/// reach freed memory.
 ///
-/// With an isolated `runner` the engine attempt runs in a forked worker
-/// child instead of this thread.  Parsing and the warm-cache lookup still
-/// happen HERE, pre-fork: the cache mutex may be held by a sibling worker
-/// at any instant, and a child forked at that instant would inherit it
-/// locked forever.  The parsed system and the (immutable, lock-free-read)
-/// warm snapshot cross into the child via fork's memory image; only the
-/// serialisable outcome comes back.  Isolated runs cannot return snapshots
-/// (live DAG pointers do not survive the pipe), so keep_report and
-/// make_snapshot are left off and the warm cache simply is not fed.
+/// Parsing happens HERE, pre-fork, so a parse error is classified as a
+/// plain `failed` job without forking a worker.  The parsed system crosses
+/// into the child via fork's memory image; only the serialisable outcome
+/// comes back over the pipe.
 [[nodiscard]] exec::WorkerReport run_submission(const DaemonCtx& ctx, const ServerOptions& opt,
-                                                WarmModelCache& cache, std::uint64_t fp,
                                                 const exec::AttemptRunner& runner,
                                                 const exec::CancelToken& token) {
   cpa::ParsedSystem parsed;
-  std::shared_ptr<const cpa::EngineSnapshot> warm;
   try {
     std::istringstream in(ctx.config_text);
     parsed = cpa::parse_system_config(in);
-    warm = cache.find_exact(fp);
-    if (warm == nullptr) warm = cache.best_base(parsed.system);
-    if (warm != nullptr) cpa::intern_external_models(parsed.system, *warm);
   } catch (const std::exception& e) {
     exec::WorkerReport failed;  // parse errors: non-transient failure, nothing forked
     failed.kind = exec::WorkerExit::kResult;
@@ -132,9 +119,6 @@ struct DaemonCtx {
   aopt.strict = opt.strict;
   aopt.engine_jobs = opt.engine_jobs;
   aopt.max_iterations = opt.max_iterations;
-  aopt.warm = warm.get();
-  aopt.keep_report = !runner.isolated();    // stats (warm_seeded) for the result frame
-  aopt.make_snapshot = !runner.isolated();  // feed the warm cache on convergence
   return runner.run(
       [&](const exec::CancelToken* t) {
         return exec::run_analysis_attempt(parsed, ctx.label, aopt, t);
@@ -184,7 +168,6 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
 
   // ---- components ----------------------------------------------------------
   std::unique_ptr<exec::JobPool> pool;
-  std::shared_ptr<WarmModelCache> cache;  ///< shared with pool workers
   std::unique_ptr<exec::Journal> journal;  ///< guarded by jmx
   std::mutex jmx;
 
@@ -330,16 +313,14 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     ctx->rec = rec;
     ctx->config_text = std::move(rec->config_text);
     ctx->label = rec->label;
-    // Isolated dispatch: the pool thread parses and warms pre-fork, the
-    // engine runs in a forked child, and the watchdog's escalation is a
-    // true SIGKILL of that child instead of a thread detach.
+    // The pool thread parses pre-fork, the engine runs in a forked child,
+    // and the watchdog's escalation is a true SIGKILL of that child.
     const exec::AttemptRunner runner(
-        opt.isolate,
-        exec::limits_from_budget(rec->budget_ms, opt.worker_memory_mb, opt.worker_stack_mb));
+        true, exec::limits_from_budget(rec->budget_ms, opt.worker_memory_mb, opt.worker_stack_mb));
     rec->handle = pool->start(
         rec->label, rec->budget_ms, ctx,
-        [ctx, o = opt, c = cache, fp = rec->fingerprint, runner](const exec::CancelToken& t) {
-          ctx->report = run_submission(*ctx, o, *c, fp, runner, t);
+        [ctx, o = opt, runner](const exec::CancelToken& t) {
+          ctx->report = run_submission(*ctx, o, runner, t);
         },
         runner.kill_hook());
   }
@@ -367,8 +348,6 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
       rec->converged = out.converged;
       rec->degraded = out.degraded;
       rec->message = out.message;
-      rec->warm_seeded =
-          out.report != nullptr ? out.report->stats.warm_seeded : out.warm_seeded;
       obs::observe(g_job_ms, out.duration_ms);
       switch (verdict.state) {
         case exec::JobState::kCrashed:
@@ -395,9 +374,6 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
           rec->rows = std::move(out.rows);
           ++done;
           obs::bump(g_jobs_done);
-          // Isolated runs carry no snapshot (the DAG cannot cross the worker
-          // pipe); only in-process runs feed the warm cache.
-          if (out.snapshot != nullptr) cache->insert(rec->fingerprint, out.snapshot);
           break;
         default:
           ++failed;
@@ -786,7 +762,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
         .add("converged", rec->converged)
         .add("degraded", rec->degraded)
         .add("duration_ms", rec->duration_ms)
-        .add("warm_seeded", rec->warm_seeded);
+        .add("warm_seeded", 0);  // reserved hemcpad1 field, always 0
     if (rec->state == exec::JobState::kCancelled)
       w.add("cancel_reason", exec::to_string(rec->cancel_reason));
     if (!rec->message.empty()) w.add("message", rec->message);
@@ -838,7 +814,6 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
         .add("crashed", crashed)
         .add("poisoned", poisoned)
         .add("poisoned_rejects", poisoned_rejects)
-        .add("isolate", opt.isolate && exec::WorkerProcess::supported())
         .add("watchdog_cancels", pool->watchdog_cancels())
         .add("watchdog_kills", pool->watchdog_kills())
         .add("disconnect_cancels", disconnect_cancels)
@@ -849,12 +824,6 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
         .add("rejected_draining", rej_draining)
         .add("rejected_protocol", rej_protocol)
         .add("rejected_busy", rej_busy)
-        .add("cache_entries", static_cast<long>(cache->size()))
-        .add("cache_exact_hits", cache->exact_hits())
-        .add("cache_base_hits", cache->base_hits())
-        .add("cache_misses", cache->misses())
-        .add("cache_evictions", cache->evictions())
-        .add("cache_bytes", static_cast<long>(cache->bytes()))
         .str();
   }
 
@@ -910,7 +879,6 @@ void Server::start() {
   d.bind_socket();
   try {
     d.load_journal();
-    d.cache = std::make_shared<WarmModelCache>(d.opt.cache_capacity, d.opt.cache_bytes);
     d.pool = std::make_unique<exec::JobPool>(std::max(1, d.opt.pool_width), d.opt.grace_ms);
     d.started_at = steady::now();
     auto self = impl_;

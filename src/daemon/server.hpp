@@ -2,9 +2,8 @@
 
 /// \file server.hpp
 /// The analysis daemon (`hemcpad`): a Unix-domain-socket server that runs
-/// submitted configurations on a shared exec::JobPool and keeps the
-/// immutable, memoisation-warm model DAGs of finished analyses alive in a
-/// WarmModelCache so resubmissions and variants start warm.
+/// each submitted configuration as a cold engine attempt in a forked worker
+/// process, dispatched from a shared exec::JobPool.
 ///
 /// Robustness model (see docs/daemon.md for the full contract):
 ///   * Admission control — a bounded global queue and a per-client quota;
@@ -16,8 +15,7 @@
 ///     flood from one client cannot starve the others.
 ///   * Deadlines — every job carries a wall-clock budget enforced by the
 ///     pool's watchdog: soft-cancel (CancelReason::kWatchdog) at the
-///     budget, hard-abandon after the grace period.  An abandoned worker
-///     is detached and its outcome never read.
+///     budget, SIGKILL of the worker process after the grace period.
 ///   * Disconnect detection — jobs whose connection vanishes are cancelled
 ///     with CancelReason::kDisconnect (unless submitted with detach=1).
 ///   * Slow peers — all socket I/O is poll()-gated; a half-open or
@@ -26,8 +24,8 @@
 ///     (exec::Journal, same format as `hemcpa --batch`) keyed by config
 ///     fingerprint; resubmitting an already-analysed config returns the
 ///     stored result (`"cached":true`) without re-running.
-///   * Process isolation (default on) — every analysis runs in a forked,
-///     rlimit-capped worker process (exec::WorkerProcess).  A config that
+///   * Process isolation — every analysis runs in a forked, rlimit-capped
+///     worker process (exec::WorkerProcess).  A config that
 ///     segfaults, aborts, or blows its memory budget becomes a `crashed`
 ///     job result carrying the signal; the daemon itself never dies.  A
 ///     config whose workers crash twice is quarantined (`poisoned`):
@@ -35,9 +33,7 @@
 ///     bytes is refused without running — across daemon restarts, because
 ///     the crash ledger is rebuilt from the journal.  Job states, the
 ///     ledger and crash classification come from exec/supervisor.hpp,
-///     shared with `hemcpa --batch`.  Isolated runs skip warm-cache
-///     *insertion* (model DAGs cannot cross the pipe); reads still warm
-///     the child because the lookup happens pre-fork.
+///     shared with `hemcpa --batch`.
 ///   * Graceful drain — request_drain() (SIGTERM, or the `drain` verb)
 ///     stops admission, finishes queued and running jobs, and run() exits
 ///     with code 0; request_force_stop() (second SIGTERM) cancels
@@ -55,8 +51,6 @@
 
 namespace hem::daemon {
 
-class WarmModelCache;
-
 struct ServerOptions {
   std::string socket_path;          ///< Unix-domain socket to bind
   int pool_width = 2;               ///< concurrently running analyses
@@ -70,13 +64,10 @@ struct ServerOptions {
   long io_timeout_ms = 5000;        ///< per-step socket read/write budget
   long idle_timeout_ms = 30'000;    ///< close connections idle this long
   std::size_t result_retention = 256;  ///< completed job records kept for `result`
-  std::size_t cache_capacity = 16;  ///< warm snapshots kept (LRU)
-  std::size_t cache_bytes = 0;      ///< approximate warm-cache byte cap; 0 = none
   std::string journal_path;         ///< terminal-result journal; empty = disabled
   bool strict = false;              ///< force strict mode on every job
   int engine_jobs = 0;              ///< CpaEngine threads per job; 0 = config/default
   int max_iterations = 64;          ///< global engine iterations per job
-  bool isolate = true;         ///< fork one rlimit-capped worker process per job
   long worker_memory_mb = 0;   ///< per-worker RLIMIT_AS cap in MiB; 0 = inherit
   long worker_stack_mb = 0;    ///< per-worker RLIMIT_STACK cap in MiB; 0 = inherit
 };

@@ -14,7 +14,6 @@
 #include "core/errors.hpp"
 #include "io/csv.hpp"
 #include "model/cpa_engine.hpp"
-#include "model/engine_snapshot.hpp"
 #include "model/textual_config.hpp"
 
 namespace hem::exec {
@@ -122,18 +121,14 @@ AttemptOutcome run_analysis_attempt(const cpa::ParsedSystem& parsed, const std::
     if (options.fixpoint_max_window > 0)
       eopts.fixpoint_limits.max_window = options.fixpoint_max_window;
     eopts.cancel = cancel;
-    eopts.warm = options.warm;
 
     cpa::CpaEngine engine(parsed.system, eopts);
     cpa::AnalysisReport report = engine.run();
     out.converged = report.converged;
     out.degraded = report.degraded();
-    out.warm_seeded = report.stats.warm_seeded;
     if (report.converged) {
       out.ok = true;
       out.rows = report_rows(label, report);
-      if (options.make_snapshot)
-        out.snapshot = std::make_shared<cpa::EngineSnapshot>(engine.make_snapshot());
     } else {
       // Graceful mode returned fallback bounds without a fixpoint — for a
       // batch that is a failure, but one more global iterations may fix.

@@ -22,7 +22,6 @@
 namespace hem::cpa {
 struct ParsedSystem;
 struct AnalysisReport;
-struct EngineSnapshot;
 }  // namespace hem::cpa
 
 namespace hem::exec {
@@ -34,11 +33,7 @@ struct AttemptOptions {
   long wall_budget_ms = 0;  ///< engine wall-clock budget; 0 = none
   long fixpoint_max_iterations = 0;  ///< busy-window step override; 0 = default
   Time fixpoint_max_window = 0;      ///< busy-window length override; 0 = default
-  /// Warm-start snapshot from a previous converged run of a similar system
-  /// (see model/engine_snapshot.hpp); nullptr = cold.
-  const cpa::EngineSnapshot* warm = nullptr;
-  bool keep_report = false;    ///< retain the full AnalysisReport in the outcome
-  bool make_snapshot = false;  ///< capture a warm-start snapshot on convergence
+  bool keep_report = false;  ///< retain the full AnalysisReport in the outcome
 };
 
 /// Classified result of one attempt.  Exactly one of ok / cancelled /
@@ -52,11 +47,9 @@ struct AttemptOutcome {
   bool transient = false;  ///< retry may succeed with raised budgets
   CancelReason cancel_reason = CancelReason::kNone;
   long duration_ms = 0;
-  long warm_seeded = 0;  ///< tasks seeded from the warm snapshot (report stat)
   std::string message;            ///< human-readable failure/cancel detail
   std::vector<std::string> rows;  ///< merged-CSV rows, `label` as config column
-  std::shared_ptr<const cpa::AnalysisReport> report;     ///< keep_report only
-  std::shared_ptr<const cpa::EngineSnapshot> snapshot;   ///< make_snapshot only
+  std::shared_ptr<const cpa::AnalysisReport> report;  ///< keep_report only
 };
 
 /// Run one engine attempt over `parsed`.  `label` becomes the CSV config

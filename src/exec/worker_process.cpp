@@ -90,7 +90,7 @@ std::string encode_outcome(const AttemptOutcome& out) {
   put_u64(bytes, flags);
   put_u64(bytes, static_cast<std::uint64_t>(out.cancel_reason));
   put_u64(bytes, static_cast<std::uint64_t>(out.duration_ms));
-  put_u64(bytes, static_cast<std::uint64_t>(out.warm_seeded));
+  put_u64(bytes, 0);  // reserved word, always 0: keeps the frame layout stable
   put_str(bytes, out.message);
   put_u64(bytes, out.rows.size());
   for (const std::string& row : out.rows) put_str(bytes, row);
@@ -105,10 +105,10 @@ bool decode_outcome(const std::string& bytes, AttemptOutcome& out) {
   std::uint64_t flags = 0;
   std::uint64_t reason = 0;
   std::uint64_t duration = 0;
-  std::uint64_t warm = 0;
+  std::uint64_t reserved = 0;
   std::uint64_t n_rows = 0;
   AttemptOutcome dec;
-  if (!c.u64(flags) || !c.u64(reason) || !c.u64(duration) || !c.u64(warm) ||
+  if (!c.u64(flags) || !c.u64(reason) || !c.u64(duration) || !c.u64(reserved) ||
       !c.str(dec.message) || !c.u64(n_rows))
     return false;
   if (reason > static_cast<std::uint64_t>(CancelReason::kDisconnect)) return false;
@@ -119,7 +119,6 @@ bool decode_outcome(const std::string& bytes, AttemptOutcome& out) {
   dec.transient = (flags & (1u << 4)) != 0;
   dec.cancel_reason = static_cast<CancelReason>(reason);
   dec.duration_ms = static_cast<long>(duration);
-  dec.warm_seeded = static_cast<long>(warm);
   dec.rows.reserve(static_cast<std::size_t>(n_rows));
   for (std::uint64_t i = 0; i < n_rows; ++i) {
     std::string row;

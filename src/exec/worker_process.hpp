@@ -20,9 +20,8 @@
 /// grace window, no detached thread, no `std::_Exit` at process end.
 ///
 /// Only the data members of AttemptOutcome that serialise cross the pipe
-/// (flags, reason, duration, message, rows, warm_seeded); `report` and
-/// `snapshot` hold live model-DAG pointers and stay child-local, so callers
-/// that want warm-cache snapshots must run in-process (`--no-isolate`).
+/// (flags, reason, duration, message, rows); `report` holds live model-DAG
+/// pointers and stays child-local.
 ///
 /// Fork-safety: the child is forked from a multithreaded parent, so it must
 /// not depend on locks other parent threads may have held at fork time.
@@ -72,7 +71,7 @@ struct WorkerReport {
 };
 
 /// Serialise the pipe-safe subset of an AttemptOutcome (everything except
-/// `report`/`snapshot`) into the versioned frame payload, and back.
+/// `report`) into the versioned frame payload, and back.
 /// `decode_outcome` returns false on a torn or foreign frame.
 [[nodiscard]] std::string encode_outcome(const AttemptOutcome& out);
 [[nodiscard]] bool decode_outcome(const std::string& bytes, AttemptOutcome& out);

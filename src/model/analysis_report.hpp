@@ -59,7 +59,6 @@ struct EngineStats {
   long models_reused = 0;           ///< activation/output nodes reused across iterations
   long models_rebuilt = 0;          ///< activation/output nodes newly constructed
   long models_compiled = 0;         ///< nodes lowered to the flat compiled form
-  long warm_seeded = 0;             ///< tasks pre-seeded from an EngineSnapshot
   int jobs = 1;                     ///< worker threads used by the run
 
   // engine.cache.* deltas over this run (zero unless obs::counting() was on

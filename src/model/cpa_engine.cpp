@@ -14,7 +14,6 @@
 #include "core/output_model.hpp"
 #include "core/sem_fit.hpp"
 #include "exec/work_pool.hpp"
-#include "model/engine_snapshot.hpp"
 #include "hierarchical/inner_update.hpp"
 #include "obs/obs.hpp"
 #include "rtc/compile.hpp"
@@ -79,7 +78,6 @@ obs::Counter& g_eng_models_rebuilt = obs::registry().counter("engine.models_rebu
 obs::Counter& g_eng_iterations = obs::registry().counter("engine.iterations");
 obs::Counter& g_eng_rate_hit = obs::registry().counter("engine.rate_memo.hit");
 obs::Counter& g_eng_rate_miss = obs::registry().counter("engine.rate_memo.miss");
-obs::Counter& g_eng_warm_seeded = obs::registry().counter("engine.warm_seeded");
 
 // The lock-free model caches publish into these process-wide probes (see
 // core/event_model.cpp and core/output_model.cpp); run() snapshot-diffs
@@ -99,7 +97,7 @@ CpaEngine::CpaEngine(const System& system, EngineOptions options)
   system_.validate();
   // Equal priorities leave SPP/CAN tie-breaking undefined.  Each resource's
   // full task set is checked here, so whether a system is rejected never
-  // depends on resolution order, the overload pre-check or warm seeding.
+  // depends on resolution order or the overload pre-check.
   std::vector<std::set<int>> priorities(system_.resources().size());
   for (const TaskSpec& t : system_.tasks()) {
     const Policy policy = system_.resources()[t.resource].policy;
@@ -110,144 +108,9 @@ CpaEngine::CpaEngine(const System& system, EngineOptions options)
   state_.resize(system_.tasks().size());
   resource_overloaded_.assign(system_.resources().size(), 0);
   changed_.assign(system_.tasks().size(), 1);
-  if (options_.warm != nullptr && options_.incremental) seed_from_warm();
 }
 
 CpaEngine::~CpaEngine() = default;
-
-void CpaEngine::seed_from_warm() {
-  const EngineSnapshot& snap = *options_.warm;
-  if (!snap.valid()) return;
-  // Result-relevant options must match exactly: a fitted-SEM snapshot must
-  // not seed an exact-curve run, a different convergence horizon changes
-  // what "equal" meant, and the overload pre-check changes fallback paths.
-  if (snap.propagate_fitted_sem != options_.propagate_fitted_sem ||
-      snap.check_overload != options_.check_overload ||
-      snap.compare_horizon != options_.compare_horizon)
-    return;
-
-  const auto& tasks = system_.tasks();
-  std::vector<const EngineSnapshot::TaskSnap*> cand(tasks.size(), nullptr);
-  for (TaskId t = 0; t < tasks.size(); ++t) {
-    const EngineSnapshot::TaskSnap* s = snap.find(tasks[t].name);
-    if (s == nullptr || s->signature != task_signature(system_, t)) continue;
-    // Fixed external inputs must be pointer-identical (interning re-points
-    // structurally equal nodes beforehand); task-output inputs are covered
-    // by the signature plus the producers' own candidacy via act_key.
-    const ActivationSpec& spec = system_.activation(t);
-    if (const auto* ext = std::get_if<ExternalActivation>(&spec)) {
-      if (ext->model.get() != s->external.get()) continue;
-    } else if (const auto* packed = std::get_if<PackedActivation>(&spec)) {
-      if (packed->inputs.size() != s->pack_sources.size() ||
-          packed->timer.get() != s->pack_timer.get())
-        continue;
-      bool inputs_match = true;
-      for (std::size_t i = 0; i < packed->inputs.size(); ++i) {
-        const auto* m = std::get_if<ModelPtr>(&packed->inputs[i].source);
-        const ModelPtr& sm = s->pack_sources[i];
-        if ((m == nullptr) != (sm == nullptr) || (m != nullptr && m->get() != sm.get())) {
-          inputs_match = false;
-          break;
-        }
-      }
-      if (!inputs_match) continue;
-    }
-    cand[t] = s;
-  }
-
-  // Interference is a local-analysis input too: a resource may only start
-  // warm when its complete mate set is unchanged — every current task a
-  // candidate and the snapshot knowing exactly this task set (a task that
-  // was removed, added, or degraded in the snapshot run demotes its whole
-  // resource to a cold start).
-  std::map<std::string, std::size_t> snap_per_resource;
-  for (const EngineSnapshot::TaskSnap& s : snap.tasks) ++snap_per_resource[s.resource];
-  for (ResourceId r = 0; r < system_.resources().size(); ++r) {
-    std::vector<TaskId> ids;
-    for (TaskId t = 0; t < tasks.size(); ++t)
-      if (tasks[t].resource == r) ids.push_back(t);
-    if (ids.empty()) continue;
-    bool all_candidates = true;
-    for (TaskId t : ids) all_candidates = all_candidates && cand[t] != nullptr;
-    const auto it = snap_per_resource.find(system_.resources()[r].name);
-    const std::size_t snap_n = it == snap_per_resource.end() ? 0 : it->second;
-    if (!all_candidates || snap_n != ids.size())
-      for (TaskId t : ids) cand[t] = nullptr;
-  }
-
-  for (TaskId t = 0; t < tasks.size(); ++t) {
-    const EngineSnapshot::TaskSnap* s = cand[t];
-    if (s == nullptr) continue;
-    TaskState& st = state_[t];
-    st.act_flat = s->act_flat;
-    st.act_hem = s->act_hem;
-    st.out_flat = s->out_flat;
-    st.out_hem = s->out_hem;
-    st.act_key = s->act_key;
-    st.analyzed = true;
-    st.bcrt = s->bcrt;
-    st.wcrt = s->wcrt;
-    st.q_max = s->q_max;
-    st.backlog = s->backlog;
-    st.busy = s->busy;
-    st.status = TaskStatus::kConverged;
-    st.analyzed_act = st.act_flat.get();
-    st.out_key_act = st.act_flat.get();
-    st.out_key_hem = st.act_hem ? static_cast<const void*>(st.act_hem.get()) : nullptr;
-    st.out_key_bcrt = st.bcrt;
-    st.out_key_wcrt = st.wcrt;
-    st.rate = s->rate;
-    st.rate_key = st.act_flat.get();
-    st.prev_act = st.act_flat;
-    st.prev_analyzed = true;
-    st.prev_bcrt = st.bcrt;
-    st.prev_wcrt = st.wcrt;
-    ++warm_seeded_;
-  }
-  // With seeds in place the first iteration can already detect convergence
-  // (update_convergence compares against the seeded prev_* values).
-  if (warm_seeded_ > 0) have_prev_ = true;
-}
-
-EngineSnapshot CpaEngine::make_snapshot() const {
-  EngineSnapshot snap;
-  if (!last_converged_) return snap;
-  snap.propagate_fitted_sem = options_.propagate_fitted_sem;
-  snap.check_overload = options_.check_overload;
-  snap.compare_horizon = options_.compare_horizon;
-  const auto& tasks = system_.tasks();
-  for (TaskId t = 0; t < tasks.size(); ++t) {
-    const TaskState& st = state_[t];
-    if (!st.analyzed || st.status != TaskStatus::kConverged || !st.act_flat) continue;
-    EngineSnapshot::TaskSnap s;
-    s.name = tasks[t].name;
-    s.resource = system_.resources()[tasks[t].resource].name;
-    s.signature = task_signature(system_, t);
-    s.act_flat = st.act_flat;
-    s.act_hem = st.act_hem;
-    s.out_flat = st.out_flat;
-    s.out_hem = st.out_hem;
-    s.act_key = st.act_key;
-    s.bcrt = st.bcrt;
-    s.wcrt = st.wcrt;
-    s.q_max = st.q_max;
-    s.backlog = st.backlog;
-    s.busy = st.busy;
-    s.rate = st.rate_key == st.act_flat.get() ? st.rate : long_run_rate(*st.act_flat);
-    const ActivationSpec& spec = system_.activation(t);
-    if (const auto* ext = std::get_if<ExternalActivation>(&spec)) {
-      s.external = ext->model;
-    } else if (const auto* packed = std::get_if<PackedActivation>(&spec)) {
-      for (const PackedActivation::Input& in : packed->inputs) {
-        const auto* m = std::get_if<ModelPtr>(&in.source);
-        s.pack_sources.push_back(m != nullptr ? *m : nullptr);
-      }
-      s.pack_timer = packed->timer;
-    }
-    snap.tasks.push_back(std::move(s));
-  }
-  return snap;
-}
 
 int CpaEngine::effective_jobs() const {
   if (options_.jobs > 0) return options_.jobs;
@@ -892,8 +755,6 @@ AnalysisReport CpaEngine::run() {
   const bool budgeted = limits_.deadline != clock::time_point::max();
   stats_ = EngineStats{};
   stats_.jobs = effective_jobs();
-  stats_.warm_seeded = warm_seeded_;
-  last_converged_ = false;  // until this run proves otherwise
 
   // Baselines for the engine.cache.* snapshot-diff published at the end of
   // the run (all zero deltas when obs counting is off).
@@ -969,7 +830,6 @@ AnalysisReport CpaEngine::run() {
   }
 
   if (!options_.strict) taint_downstream();
-  last_converged_ = converged;
 
   // A converged run's model nodes are final: lower every task's activation
   // and output stream so report consumers (hemlint rate propagation,
@@ -1015,7 +875,6 @@ AnalysisReport CpaEngine::run() {
   g_eng_analyses_skipped.add(stats_.local_analyses_skipped);
   g_eng_models_reused.add(stats_.models_reused);
   g_eng_models_rebuilt.add(stats_.models_rebuilt);
-  g_eng_warm_seeded.add(stats_.warm_seeded);
   g_eng_iterations.add(iter);
   return report;
 }

@@ -65,8 +65,6 @@ class LocalAnalysis;
 
 namespace hem::cpa {
 
-struct EngineSnapshot;
-
 struct EngineOptions {
   int max_iterations = 64;
   Count compare_horizon = 64;  ///< delta-curve samples used for convergence
@@ -111,14 +109,6 @@ struct EngineOptions {
   /// AnalysisError(ErrorCode::kCancelled) in BOTH graceful and strict mode:
   /// a cancelled run must not masquerade as a degraded-but-valid report.
   const exec::CancelToken* cancel = nullptr;
-  /// Warm-start snapshot from a previous converged run (not owned; must
-  /// outlive the engine).  Tasks that provably have the same local-analysis
-  /// input as in the snapshot run — matching structural signature,
-  /// pointer-identical external nodes (see intern_external_models), an
-  /// unchanged resource mate set — start in the analysed/converged state,
-  /// so only the changed delta is recomputed.  Results are bit-identical to
-  /// a cold run; EngineStats::warm_seeded counts the seeded tasks.
-  const EngineSnapshot* warm = nullptr;
 };
 
 class CpaEngine {
@@ -131,13 +121,6 @@ class CpaEngine {
   /// degradation.  In strict mode throws AnalysisError on divergence or
   /// overload.
   [[nodiscard]] AnalysisReport run();
-
-  /// Capture the converged per-task state of the last run() for cross-run
-  /// warm starting (EngineOptions::warm).  Only converged tasks of a
-  /// converged run are captured — their bounds are fixpoints and therefore
-  /// budget-independent; an empty snapshot (valid() == false) comes back
-  /// when the last run did not converge or run() was never called.
-  [[nodiscard]] EngineSnapshot make_snapshot() const;
 
  private:
   struct TaskState {
@@ -199,7 +182,6 @@ class CpaEngine {
 
   [[nodiscard]] double cached_rate(TaskId t);
   [[nodiscard]] int effective_jobs() const;
-  void seed_from_warm();
 
   void apply_resource_fallback(ResourceId r, const std::vector<TaskId>& ids,
                                TaskStatus status, DiagCode code, const std::string& detail);
@@ -223,8 +205,6 @@ class CpaEngine {
   /// maximum number of work units any batch can carry.
   std::unique_ptr<exec::WorkPool> pool_;
   int current_iteration_ = 0;
-  long warm_seeded_ = 0;        ///< tasks seeded from EngineOptions::warm
-  bool last_converged_ = false; ///< last run() reached the global fixpoint
 };
 
 }  // namespace hem::cpa

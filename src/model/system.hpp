@@ -144,12 +144,9 @@ class System {
   /// Visit every external event-model slot of `task`'s activation (the
   /// ExternalActivation model, PackedActivation ModelPtr sources, and the
   /// pack timer) and let `fn` substitute a replacement node (return nullptr
-  /// to keep the current one).  Used by warm-start interning
-  /// (model/engine_snapshot.hpp) to re-point structurally identical sources
-  /// at the cached run's immutable nodes, so the engine's pointer-based
-  /// dirty tracking recognises them as unchanged.  The replacement must
-  /// describe the same event stream; substituting a different stream is
-  /// undefined behaviour of the analysis, not of the program.
+  /// to keep the current one).  Used by fault injection
+  /// (verify::inject_broken_models) and by tests that swap a source for an
+  /// equivalent trace model.
   void rewrite_external_models(TaskId task,
                                const std::function<ModelPtr(const ModelPtr&)>& fn);
 

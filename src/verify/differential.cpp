@@ -10,7 +10,6 @@
 
 #include "core/errors.hpp"
 #include "model/cpa_engine.hpp"
-#include "model/engine_snapshot.hpp"
 #include "rtc/compile.hpp"
 #include "sim/system_simulator.hpp"
 #include "sim/trace_check.hpp"
@@ -157,9 +156,7 @@ class DeterminismOracle final : public Oracle {
   void check(const DiffInput& in, const DiffOptions& opts,
              std::vector<OracleFinding>& out) const override {
     const cpa::EngineOptions base = base_options(opts);
-    cpa::CpaEngine cold(*in.system, base);
-    const cpa::AnalysisReport cold_report = cold.run();
-    const std::uint64_t cold_fp = report_fingerprint(cold_report);
+    const std::uint64_t cold_fp = report_fingerprint(run_engine(*in.system, base));
 
     const auto compare_arm = [&](const char* arm, const cpa::AnalysisReport& report) {
       const std::uint64_t fp = report_fingerprint(report);
@@ -178,15 +175,6 @@ class DeterminismOracle final : public Oracle {
     cpa::EngineOptions full = base;
     full.incremental = false;
     compare_arm("non-incremental", run_engine(*in.system, full));
-
-    const cpa::EngineSnapshot snapshot = cold.make_snapshot();
-    if (snapshot.valid()) {
-      cpa::System warm_system = *in.system;  // re-pointing externals mutates the copy
-      cpa::intern_external_models(warm_system, snapshot);
-      cpa::EngineOptions warm = base;
-      warm.warm = &snapshot;
-      compare_arm("warm-snapshot", run_engine(warm_system, warm));
-    }
   }
 };
 
@@ -485,7 +473,7 @@ std::uint64_t report_fingerprint(const cpa::AnalysisReport& report) {
     os << '\n';
   }
   // Iteration counts (global and per-diagnostic) are work counters, not
-  // results: a warm-seeded run reaches the same fixpoint in fewer rounds.
+  // results, so they stay out of the fingerprint.
   os << report.converged << '\n';
   for (const cpa::Diagnostic& d : report.diagnostics.entries())
     os << cpa::to_string(d.severity) << '|' << cpa::to_string(d.code) << '|' << d.entity << '|'

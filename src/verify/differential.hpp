@@ -15,8 +15,7 @@
 ///                 plus trace_check conformance of observed activation and
 ///                 completion traces against the analytic stream models
 ///   determinism   report fingerprints bit-identical across jobs=1 vs
-///                 jobs=N, incremental on vs off, and cold vs warm-snapshot
-///                 re-analysis
+///                 jobs=N and incremental on vs off
 ///   compilation   compiled-curve vs lazy-DAG delta/eta identity (random
 ///                 probes beyond the AX12 bend points) plus a full
 ///                 ModelChecker AX1-AX13 sweep over every per-task model
@@ -134,8 +133,8 @@ class OracleRegistry {
 /// patterns, short delta-curve samples of the activation and output models,
 /// global convergence, and all diagnostics.  Deliberately excludes
 /// EngineStats and every iteration count (global and per-diagnostic): work
-/// counters legitimately vary with jobs/incremental/warm settings while
-/// results must not.
+/// counters legitimately vary with jobs/incremental settings while results
+/// must not.
 [[nodiscard]] std::uint64_t report_fingerprint(const cpa::AnalysisReport& report);
 
 /// Known deliberately-broken model kinds for self-tests of the harness

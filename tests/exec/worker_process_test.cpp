@@ -32,7 +32,6 @@ AttemptOutcome sample_outcome() {
   out.transient = false;
   out.cancel_reason = CancelReason::kNone;
   out.duration_ms = 4321;
-  out.warm_seeded = 7;
   out.message = "all good, with = signs and\nnewlines";
   out.rows = {"cfg,task,42", "cfg,other,17", ""};
   return out;
@@ -49,11 +48,18 @@ TEST(WorkerFrameTest, EncodeDecodeRoundTripsEveryPipeSafeField) {
   EXPECT_EQ(out.transient, in.transient);
   EXPECT_EQ(out.cancel_reason, in.cancel_reason);
   EXPECT_EQ(out.duration_ms, in.duration_ms);
-  EXPECT_EQ(out.warm_seeded, in.warm_seeded);
   EXPECT_EQ(out.message, in.message);
   EXPECT_EQ(out.rows, in.rows);
   EXPECT_EQ(out.report, nullptr);
-  EXPECT_EQ(out.snapshot, nullptr);
+}
+
+TEST(WorkerFrameTest, LayoutIsPinnedWithAZeroReservedWord) {
+  const std::string frame = encode_outcome(sample_outcome());
+  // 8 magic + 4 u64 words (flags, reason, duration, reserved) + message
+  // (8 + 35) + row count 8 + rows (8 + 11, 8 + 12, 8 + 0).
+  EXPECT_EQ(frame.size(), 138u);
+  // The fourth u64 word is reserved and always encodes as 0.
+  EXPECT_EQ(frame.substr(8 + 3 * 8, 8), std::string(8, '\0'));
 }
 
 TEST(WorkerFrameTest, CancelledOutcomeKeepsItsReason) {
@@ -108,7 +114,8 @@ TEST(WorkerProcessTest, CleanChildShipsItsOutcomeBack) {
       worker.run([] { return sample_outcome(); }, WorkerLimits{}, nullptr);
   ASSERT_EQ(report.kind, WorkerExit::kResult);
   EXPECT_TRUE(report.outcome.ok);
-  EXPECT_EQ(report.outcome.warm_seeded, 7);
+  EXPECT_EQ(report.outcome.duration_ms, sample_outcome().duration_ms);
+  EXPECT_EQ(report.outcome.message, sample_outcome().message);
   EXPECT_EQ(report.outcome.rows, sample_outcome().rows);
 }
 

@@ -5,21 +5,18 @@
 //   hemcpad serve --socket <path> [--pool-jobs <n>] [--queue-max <n>]
 //                 [--client-quota <n>] [--budget-ms <ms>] [--max-budget-ms <ms>]
 //                 [--grace-ms <ms>] [--max-frame-bytes <n>] [--io-timeout-ms <ms>]
-//                 [--idle-timeout-ms <ms>] [--cache-size <n>] [--cache-bytes <n>]
+//                 [--idle-timeout-ms <ms>] [--result-retention <n>]
 //                 [--journal <file>] [--max-connections <n>] [--strict] [--jobs <n>]
-//                 [--max-iterations <n>] [--isolate|--no-isolate]
-//                 [--worker-memory-mb <n>] [--worker-stack-mb <n>]
+//                 [--max-iterations <n>] [--worker-memory-mb <n>] [--worker-stack-mb <n>]
 //
 //   The daemon analyses configurations submitted over the Unix-domain
-//   socket, keeping finished model DAGs warm in an in-memory cache so
-//   resubmissions and variants converge in a fraction of the cold time.
-//   By default every analysis runs in a forked, rlimit-capped worker
-//   process (--isolate): a config that segfaults, aborts, or exhausts its
+//   socket.  Every analysis is a cold engine run in a forked, rlimit-capped
+//   worker process: a config that segfaults, aborts, or exhausts its
 //   memory budget becomes a `crashed` job result instead of killing the
 //   daemon, and a config that crashes its worker twice is quarantined
 //   (`poisoned`) — later submissions of the same bytes are refused without
-//   running, across restarts.  --no-isolate restores in-process execution
-//   (and with it warm-cache insertion, which isolated runs skip).
+//   running, across restarts.  With --journal, resubmitting the identical
+//   bytes of a completed job is answered from the journal without running.
 //   SIGTERM/SIGINT drains gracefully (stop admission, finish queued and
 //   running work, exit 0); a second signal force-stops (cancel everything,
 //   exit 6).  See docs/daemon.md and docs/robustness.md.
@@ -62,8 +59,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: hemcpad serve --socket <path> [server options]\n"
-               "                     [--isolate|--no-isolate] [--worker-memory-mb <n>]\n"
-               "                     [--worker-stack-mb <n>] [--cache-bytes <n>]\n"
+               "                     [--worker-memory-mb <n>] [--worker-stack-mb <n>]\n"
                "       hemcpad submit <config> --socket <path> [--wait] [--budget-ms <ms>]\n"
                "                      [--client <name>] [--label <name>] [--detach]\n"
                "       hemcpad status|result|cancel <id> --socket <path>\n"
@@ -132,9 +128,6 @@ int run_serve(int argc, char** argv) {
     } else if (flag == "--idle-timeout-ms") {
       if (!take(1)) return bad_number(flag, i + 1 < argc ? argv[i + 1] : "");
       opts.idle_timeout_ms = v;
-    } else if (flag == "--cache-size") {
-      if (!take(1)) return bad_number(flag, i + 1 < argc ? argv[i + 1] : "");
-      opts.cache_capacity = static_cast<std::size_t>(v);
     } else if (flag == "--result-retention") {
       if (!take(1)) return bad_number(flag, i + 1 < argc ? argv[i + 1] : "");
       opts.result_retention = static_cast<std::size_t>(v);
@@ -151,13 +144,6 @@ int run_serve(int argc, char** argv) {
     } else if (flag == "--max-iterations") {
       if (!take(1)) return bad_number(flag, i + 1 < argc ? argv[i + 1] : "");
       opts.max_iterations = static_cast<int>(v);
-    } else if (flag == "--cache-bytes") {
-      if (!take(0)) return bad_number(flag, i + 1 < argc ? argv[i + 1] : "");
-      opts.cache_bytes = static_cast<std::size_t>(v);
-    } else if (flag == "--isolate") {
-      opts.isolate = true;
-    } else if (flag == "--no-isolate") {
-      opts.isolate = false;
     } else if (flag == "--worker-memory-mb") {
       if (!take(0)) return bad_number(flag, i + 1 < argc ? argv[i + 1] : "");
       opts.worker_memory_mb = v;

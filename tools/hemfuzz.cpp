@@ -323,7 +323,11 @@ int main(int argc, char** argv) {
               << "# bucket: " << hex16(bucket) << "\n"
               << "# seed: " << seed << " variant: " << variant << "\n";
         if (!args.inject.empty()) repro << "# inject: " << args.inject << "\n";
-        repro << "# detail: " << finding.detail << "\n" << repro_text;
+        // A detail may span several lines (contract violations do); each
+        // one stays a comment so the reproducer still parses.
+        repro << "# detail: ";
+        for (const char c : finding.detail) repro << c << (c == '\n' ? "# " : "");
+        repro << "\n" << repro_text;
 
         std::cout << "bucket=" << hex16(bucket) << " oracle=" << finding.oracle
                   << " fingerprint=" << finding.fingerprint << " seed=" << seed

@@ -5,7 +5,6 @@
 //
 // Run:  ./build/examples/example_body_network_analysis
 
-#include <array>
 #include <iostream>
 
 #include "hem/hem.hpp"
@@ -19,20 +18,18 @@ int main() {
             << report.format() << "\n";
 
   // Two-hop wheel-speed path: PT1 (powertrain CAN) -> gateway -> GW1
-  // (body CAN) -> dashboard.
-  const std::array<std::string, 4> wheel_path{"PT1", "gw_wheel", "GW1", "dash_wheel"};
+  // (body CAN) -> dashboard.  A path's latency bound sums its hops' WCRTs.
+  const auto wcrt = [&](const char* task) { return report.task(task).wcrt; };
   std::cout << "wheel-speed end-to-end (PT_CAN -> GW -> BD_CAN -> dash): "
-            << cpa::path_wcrt(report, wheel_path) << " ticks\n";
+            << wcrt("PT1") + wcrt("gw_wheel") + wcrt("GW1") + wcrt("dash_wheel") << " ticks\n";
 
   // Temperature path adds two sampling delays: the pending signal waits for
   // PT2's periodic frame and again for GW1 at the gateway.
   const Time pt2_gap = report.task("PT2").activation->delta_plus(2);
   const Time gw1_gap = report.task("GW1").activation->delta_plus(2);
-  const std::array<std::string, 4> temp_path{"PT2", "gw_temp", "GW1", "dash_temp"};
   std::cout << "temperature end-to-end incl. sampling (" << pt2_gap << " + " << gw1_gap
             << "): "
-            << cpa::path_wcrt_with_sampling(report, temp_path,
-                                            std::array<Time, 2>{pt2_gap, gw1_gap})
+            << wcrt("PT2") + wcrt("gw_temp") + wcrt("GW1") + wcrt("dash_temp") + pt2_gap + gw1_gap
             << " ticks\n";
 
   // Utilisation summary per resource.

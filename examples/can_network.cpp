@@ -1,20 +1,20 @@
-// A larger CAN network example: three ECUs exchange eight signals over one
-// CAN bus in four frames (direct, periodic and mixed types), with CAN
-// transmission times derived from payload sizes and bit rate.  Shows the
-// com:: API (frames, signals, packing) together with the system engine.
+// A larger CAN network example: five signals travel over one CAN bus in
+// three frames (direct, mixed and periodic), with CAN transmission times
+// derived from payload sizes and bit rate.  Each frame is a bus task
+// activated by the pack constructor of its signals (the COM layer of the
+// paper's section 4: triggering signals and the send timer trigger the
+// frame, pending signals wait for the next one); the system engine
+// analyses the bus and unpacks the per-signal streams.
 //
 // Run:  ./build/examples/example_can_network
 
 #include <iostream>
+#include <vector>
 
 #include "hem/hem.hpp"
 
 int main() {
   using namespace hem;
-  using com::Frame;
-  using com::FrameType;
-  using com::Signal;
-  using com::SignalKind;
 
   // 500 kbit/s CAN, 1 tick = 1 us -> 2 ticks per bit.
   const Time ticks_per_bit = 2;
@@ -27,70 +27,73 @@ int main() {
   const auto diag = StandardEventModel::periodic(50'000);
 
   // --- Frames --------------------------------------------------------------
-  Frame chassis;  // direct, high priority: safety signals trigger instantly
-  chassis.name = "chassis";
-  chassis.type = FrameType::kDirect;
-  chassis.priority = 1;
-  chassis.signals = {
-      Signal{"wheel_speed", wheel_speed, SignalKind::kTriggering, 2, "ctrl", ""},
-      Signal{"brake_evt", brake_evt, SignalKind::kTriggering, 1, "ctrl", ""},
+  struct Signal {
+    const char* name;
+    ModelPtr source;
+    SignalCoupling coupling;
+    int width_bytes;          ///< register width; the frame payload sums them
+    const char* destination;  ///< receiver task (informational)
   };
-  chassis.transmission_time = com::can_frame_time(chassis.payload_bytes(), ticks_per_bit);
-
-  Frame steering_f;  // mixed: periodic refresh plus event triggering
-  steering_f.name = "steering";
-  steering_f.type = FrameType::kMixed;
-  steering_f.period = 20'000;
-  steering_f.priority = 2;
-  steering_f.signals = {
-      Signal{"steering", steering, SignalKind::kTriggering, 2, "ctrl", ""},
+  struct Frame {
+    const char* name;
+    int priority;    ///< CAN identifier order: smaller = higher
+    ModelPtr timer;  ///< periodic send timer; null for direct frames
+    std::vector<Signal> signals;
   };
-  steering_f.transmission_time =
-      com::can_frame_time(steering_f.payload_bytes(), ticks_per_bit);
-
-  Frame telemetry;  // periodic: pending signals ride the timer
-  telemetry.name = "telemetry";
-  telemetry.type = FrameType::kPeriodic;
-  telemetry.period = 50'000;
-  telemetry.priority = 3;
-  telemetry.signals = {
-      Signal{"temp", temp, SignalKind::kPending, 2, "logger", ""},
-      Signal{"diag", diag, SignalKind::kPending, 4, "logger", ""},
+  const auto kTrig = SignalCoupling::kTriggering;
+  const auto kPend = SignalCoupling::kPending;
+  const std::vector<Frame> frames = {
+      // direct, high priority: safety signals trigger instantly
+      {"chassis", 1, nullptr,
+       {{"wheel_speed", wheel_speed, kTrig, 2, "ctrl"}, {"brake_evt", brake_evt, kTrig, 1, "ctrl"}}},
+      // mixed: periodic refresh plus event triggering
+      {"steering", 2, StandardEventModel::periodic(20'000),
+       {{"steering", steering, kTrig, 2, "ctrl"}}},
+      // periodic: pending signals ride the timer
+      {"telemetry", 3, StandardEventModel::periodic(50'000),
+       {{"temp", temp, kPend, 2, "logger"}, {"diag", diag, kPend, 4, "logger"}}},
   };
-  telemetry.transmission_time =
-      com::can_frame_time(telemetry.payload_bytes(), ticks_per_bit);
 
-  com::ComLayer layer({chassis, steering_f, telemetry});
+  cpa::System sys;
+  const auto can = sys.add_resource({"can", cpa::Policy::kSpnpCan});
+  std::vector<int> payload;
+  for (const Frame& f : frames) {
+    int bytes = 0;
+    std::vector<cpa::PackedActivation::Input> inputs;
+    for (const Signal& s : f.signals) {
+      bytes += s.width_bytes;
+      inputs.push_back({s.source, s.coupling});
+    }
+    const auto task =
+        sys.add_task({f.name, can, f.priority, com::can_frame_time(bytes, ticks_per_bit)});
+    sys.activate_packed(task, std::move(inputs), f.timer);
+    payload.push_back(bytes);
+  }
 
   // --- Bus analysis --------------------------------------------------------
-  std::vector<sched::TaskParams> bus_frames;
-  for (std::size_t i = 0; i < layer.frames().size(); ++i) {
-    bus_frames.push_back(sched::TaskParams{layer.frame(i).name, layer.frame(i).priority,
-                                           *layer.frame(i).transmission_time,
-                                           layer.activation_model(i)});
-  }
-  sched::LocalAnalysis bus(sched::Policy::kSpnpCan, bus_frames);
-  const auto bus_results = bus.analyze_all();
+  const auto report = cpa::CpaEngine(sys).run();
 
   std::cout << "=== CAN bus (500 kbit/s) ===\n";
-  for (std::size_t i = 0; i < bus_results.size(); ++i) {
-    std::cout << bus_results[i].name << ": payload " << layer.frame(i).payload_bytes()
-              << " B, C = [" << layer.frame(i).transmission_time->best << ":"
-              << layer.frame(i).transmission_time->worst << "] us, R = ["
-              << bus_results[i].bcrt << ":" << bus_results[i].wcrt << "] us\n";
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& r = report.task(frames[i].name);
+    const auto& cet = sys.tasks()[i].cet;
+    std::cout << r.name << ": payload " << payload[i] << " B, C = [" << cet.best << ":"
+              << cet.worst << "] us, R = [" << r.bcrt << ":" << r.wcrt << "] us\n";
   }
 
   // --- Receiver-side comparison: flat vs unpacked --------------------------
+  // The flat view activates every receiver of a frame on each frame
+  // arrival (the frame task's output stream); the unpacked view sees only
+  // the frames that carry a new value of its own signal.
   std::cout << "\n=== Receiver activation bounds over 100 ms ===\n";
-  for (std::size_t i = 0; i < layer.frames().size(); ++i) {
-    const auto hem = layer.transmitted(i, bus_results[i].bcrt, bus_results[i].wcrt);
-    const auto flat = layer.flat_receiver_model(i, bus_results[i].bcrt, bus_results[i].wcrt);
-    std::cout << layer.frame(i).name << ": total frame arrivals eta+(100ms) = "
-              << flat->eta_plus(100'000) << "\n";
-    for (std::size_t s = 0; s < layer.frame(i).signals.size(); ++s) {
-      std::cout << "    " << layer.frame(i).signals[s].name << " -> "
-                << layer.frame(i).signals[s].destination
-                << ": unpacked eta+(100ms) = " << hem->inner(s)->eta_plus(100'000) << "\n";
+  for (const Frame& f : frames) {
+    const auto& r = report.task(f.name);
+    std::cout << f.name << ": total frame arrivals eta+(100ms) = "
+              << r.output->eta_plus(100'000) << "\n";
+    for (std::size_t s = 0; s < f.signals.size(); ++s) {
+      std::cout << "    " << f.signals[s].name << " -> " << f.signals[s].destination
+                << ": unpacked eta+(100ms) = " << r.hem_output->inner(s)->eta_plus(100'000)
+                << "\n";
     }
   }
 

@@ -58,18 +58,14 @@ int main() {
   std::cout << "  FB total frame arrivals: eta+ = "
             << report.task("FB").output->eta_plus(10'000) << "\n\n";
 
-  // End-to-end latency of the fast path, including the pending signal's
-  // sampling delay at the gateway repacking for the slow path.
-  const std::array<std::string, 3> fast_path{"FA", "gw_fast", "FB"};
+  // End-to-end latency: the sum of the per-hop WCRTs, plus, on the slow
+  // path, the pending signal's sampling delay at the gateway repacking.
+  const auto wcrt = [&](const char* task) { return report.task(task).wcrt; };
   std::cout << "Fast path FA -> gw_fast -> FB worst-case latency: "
-            << cpa::path_wcrt(report, fast_path) + report.task("rx_fast").wcrt << "\n";
+            << wcrt("FA") + wcrt("gw_fast") + wcrt("FB") + wcrt("rx_fast") << "\n";
   const Time sampling = report.task("FB").activation->delta_plus(2);
-  const std::array<std::string, 3> slow_path{"FA", "gw_slow", "FB"};
   std::cout << "Slow path latency incl. repacking sampling delay ("
             << format_time(sampling) << "): "
-            << cpa::path_wcrt_with_sampling(report, slow_path,
-                                            std::array<Time, 1>{sampling}) +
-                   report.task("rx_slow").wcrt
-            << "\n";
+            << wcrt("FA") + wcrt("gw_slow") + wcrt("FB") + sampling + wcrt("rx_slow") << "\n";
   return 0;
 }

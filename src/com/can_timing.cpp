@@ -32,27 +32,6 @@ sched::ExecutionTime can_frame_time(int payload_bytes, Time ticks_per_bit, CanId
                               can_frame_bits_worst(payload_bytes, format) * ticks_per_bit);
 }
 
-sched::ExecutionTime can_fd_frame_time(int payload_bytes, Time ticks_per_arb_bit,
-                                       Time ticks_per_data_bit) {
-  if (payload_bytes < 0 || payload_bytes > 64)
-    throw std::invalid_argument("CAN FD payload must be 0..64 bytes");
-  if (ticks_per_arb_bit <= 0 || ticks_per_data_bit <= 0)
-    throw std::invalid_argument("bit times must be positive");
-  if (ticks_per_data_bit > ticks_per_arb_bit)
-    throw std::invalid_argument("CAN FD data phase must not be slower than arbitration");
-  // Arbitration phase (11-bit id): ~30 control bits best, 38 with stuffing.
-  const Time arb_best = 30, arb_worst = 38;
-  // Data phase: DLC/ESI/BRS (~10) + payload + CRC (21 for <=16B, 25 above)
-  // + fixed/dynamic stuffing (~1/4 of the stuffable bits, conservative).
-  const Time crc = payload_bytes <= 16 ? 21 : 25;
-  const Time data_raw = 10 + 8 * static_cast<Time>(payload_bytes) + crc;
-  const Time data_best = data_raw;
-  const Time data_worst = data_raw + data_raw / 4 + 5;
-  return sched::ExecutionTime(
-      arb_best * ticks_per_arb_bit + data_best * ticks_per_data_bit,
-      arb_worst * ticks_per_arb_bit + data_worst * ticks_per_data_bit);
-}
-
 sched::ExecutionTime ethernet_frame_time(int payload_bytes, Time ticks_per_byte) {
   if (payload_bytes < 0 || payload_bytes > 1500)
     throw std::invalid_argument("Ethernet payload must be 0..1500 bytes");

@@ -33,16 +33,6 @@ enum class CanIdFormat { kStandard11, kExtended29 };
 [[nodiscard]] Time can_frame_bits_best(int payload_bytes,
                                        CanIdFormat format = CanIdFormat::kStandard11);
 
-/// CAN FD transmission time: the arbitration phase runs at the nominal bit
-/// rate, the data phase (DLC + payload + CRC) at the (faster) data bit
-/// rate.  Payload up to 64 bytes.  Worst case includes stuffing in both
-/// phases (arbitration ~30 stuffed control bits; data phase stuff ratio
-/// 1/4 plus fixed stuff bits in the CRC field, approximated
-/// conservatively).
-[[nodiscard]] sched::ExecutionTime can_fd_frame_time(int payload_bytes,
-                                                     Time ticks_per_arb_bit,
-                                                     Time ticks_per_data_bit);
-
 /// Switched-Ethernet frame transmission time on one link: preamble/SFD (8)
 /// + header (14) + payload (padded to 46..1500) + FCS (4) + inter-frame
 /// gap (12), at `ticks_per_byte` (e.g. 100 Mbit/s with 1 us ticks ->

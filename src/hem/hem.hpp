@@ -11,7 +11,8 @@
 ///                  periodic-resource servers
 ///   * hierarchical/ hierarchical event models: pack constructor Omega_pa,
 ///                  inner update B, deconstructor Psi  (the paper's core)
-///   * com/         AUTOSAR-style COM layer: signals, frames, packing
+///   * com/         CAN and Ethernet frame transmission times (the COM
+///                  layer's packing is pack() behind System::activate_packed)
 ///   * model/       system graph + global compositional analysis engine
 ///   * sim/         independent discrete-event simulator for validation
 
@@ -20,7 +21,6 @@
 #include "core/errors.hpp"
 #include "core/event_model.hpp"
 #include "core/grouped_stream_model.hpp"
-#include "core/intersection_model.hpp"
 #include "core/leaky_bucket_model.hpp"
 #include "core/model_io.hpp"
 #include "core/offset_transaction_model.hpp"
@@ -35,7 +35,6 @@
 
 #include "sched/busy_window.hpp"
 #include "sched/local_analysis.hpp"
-#include "sched/priority_assignment.hpp"
 #include "sched/resource_server.hpp"
 
 #include "hierarchical/hierarchical_event_model.hpp"
@@ -43,13 +42,9 @@
 #include "hierarchical/pack_constructor.hpp"
 
 #include "com/can_timing.hpp"
-#include "com/com_layer.hpp"
-#include "com/frame.hpp"
-#include "com/signal.hpp"
 
 #include "model/analysis_report.hpp"
 #include "model/cpa_engine.hpp"
-#include "model/path_latency.hpp"
 #include "model/sensitivity.hpp"
 #include "model/system.hpp"
 #include "model/textual_config.hpp"

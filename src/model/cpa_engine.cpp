@@ -239,6 +239,7 @@ void CpaEngine::resolve_activations() {
 }
 
 void CpaEngine::check_resource_load() {
+  obs::Span span("engine", "check_resource_load");
   const auto& tasks = system_.tasks();
   for (ResourceId r = 0; r < system_.resources().size(); ++r) {
     double load = 0.0;
@@ -362,6 +363,7 @@ void CpaEngine::analyze_resources() {
   // keeping `models_compiled` deterministic across job counts; queries
   // beyond the compiled horizon fall back to the lazy DAG unchanged.
   if (options_.compile_curves) {
+    obs::Span span("engine", "compile_activations");
     for (ResourceId r : dirty) {
       for (TaskId t : ids[r]) {
         const TaskState& st = state_[t];
@@ -578,6 +580,7 @@ void CpaEngine::compute_outputs() {
 }
 
 bool CpaEngine::update_convergence() {
+  obs::Span span("engine", "update_convergence");
   bool all_equal = have_prev_;
   for (std::size_t t = 0; t < state_.size(); ++t) {
     TaskState& st = state_[t];
@@ -837,6 +840,7 @@ AnalysisReport CpaEngine::run() {
   // path.  Beyond the compiled horizon queries fall back to the lazy DAG,
   // so this is pure acceleration, never an approximation.
   if (converged && options_.compile_curves) {
+    obs::Span span("engine", "compile_converged");
     for (TaskState& st : state_) {
       for (const ModelPtr& m : {st.act_flat, st.out_flat}) {
         if (m && m->compiled() == nullptr) {

@@ -4,6 +4,21 @@
 
 namespace hem::cpa {
 
+std::vector<TaskId> referenced_tasks(const ActivationSpec& spec) {
+  std::vector<TaskId> refs;
+  if (const auto* out = std::get_if<TaskOutputActivation>(&spec)) {
+    refs = out->producers;
+  } else if (const auto* land = std::get_if<AndActivation>(&spec)) {
+    refs = land->producers;
+  } else if (const auto* packed = std::get_if<PackedActivation>(&spec)) {
+    for (const auto& in : packed->inputs)
+      if (const auto* task = std::get_if<TaskId>(&in.source)) refs.push_back(*task);
+  } else if (const auto* unpack = std::get_if<UnpackedActivation>(&spec)) {
+    refs.push_back(unpack->frame_task);
+  }
+  return refs;
+}
+
 ResourceId System::add_resource(ResourceSpec spec) {
   if (spec.name.empty()) throw std::invalid_argument("System: resource with empty name");
   if ((spec.policy == Policy::kTdma || spec.policy == Policy::kFlexRayStatic) &&

@@ -87,6 +87,11 @@ struct UnpackedActivation {
 using ActivationSpec = std::variant<std::monostate, ExternalActivation, TaskOutputActivation,
                                     AndActivation, PackedActivation, UnpackedActivation>;
 
+/// All tasks whose *analysis results* an activation needs: the CPA engine
+/// resolves an activation only once every referenced task (including
+/// pending-coupled pack inputs and the unpack frame) has an output model.
+[[nodiscard]] std::vector<TaskId> referenced_tasks(const ActivationSpec& spec);
+
 /// The system under analysis.  Build it up with the add_/activate_ methods,
 /// then hand it to CpaEngine.
 class System {

@@ -6,7 +6,6 @@ namespace hem::scenarios {
 
 namespace {
 
-using cpa::PackedActivation;
 using cpa::Policy;
 using cpa::System;
 using cpa::TaskId;
@@ -84,33 +83,6 @@ PaperSystemResults analyze_paper_system(const PaperSystemParams& p) {
     out.table3.push_back(Table3Row{r.name, r.cet, r.prio, flat_wcrt, hem_wcrt, red});
   }
   return out;
-}
-
-com::ComLayer make_paper_com_layer(const PaperSystemParams& p) {
-  using com::Frame;
-  using com::FrameType;
-  using com::Signal;
-  using com::SignalKind;
-
-  Frame f1;
-  f1.name = "F1";
-  f1.type = FrameType::kDirect;
-  f1.priority = 1;
-  f1.signals = {
-      Signal{"s1", src(p.s1_period, p.s1_jitter), SignalKind::kTriggering, 1, "T1", ""},
-      Signal{"s2", src(p.s2_period, p.s2_jitter), SignalKind::kTriggering, 1, "T2", ""},
-      Signal{"s3", src(p.s3_period, p.s3_jitter), SignalKind::kPending, 2, "T3", ""},
-  };
-  f1.transmission_time = sched::ExecutionTime(p.f1_time);
-
-  Frame f2;
-  f2.name = "F2";
-  f2.type = FrameType::kDirect;
-  f2.priority = 2;
-  f2.signals = {Signal{"s4", src(p.s4_period, p.s4_jitter), SignalKind::kTriggering, 2, "T4", ""}};
-  f2.transmission_time = sched::ExecutionTime(p.f2_time);
-
-  return com::ComLayer({std::move(f1), std::move(f2)});
 }
 
 }  // namespace hem::scenarios

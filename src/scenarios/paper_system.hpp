@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "com/com_layer.hpp"
 #include "model/analysis_report.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/system.hpp"
@@ -77,9 +76,5 @@ struct PaperSystemResults {
 
 /// Run both modes and assemble the Table 3 / Figure 4 data.
 [[nodiscard]] PaperSystemResults analyze_paper_system(const PaperSystemParams& p = {});
-
-/// The COM layer view of the paper system (frames F1/F2 with signals),
-/// for direct use of the com:: API in tests and examples.
-[[nodiscard]] com::ComLayer make_paper_com_layer(const PaperSystemParams& p = {});
 
 }  // namespace hem::scenarios

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -325,16 +326,20 @@ class DegradationOracle final : public Oracle {
     std::istringstream text(in.config_text);
     const LintResult lint = lint_config(text);
     if (!lint.parse_ok) return;
-    bool lint_overload = false;
+    std::set<std::string> lint_overload;  // resources HL001 names
     for (const Diagnostic& d : lint.diagnostics) {
       // Cyclic-dependency configs degrade through a different engine path
       // (unresolved activations), where rate estimates are undefined.
       if (d.code == "HL006" || d.code == "HL007") return;
-      if (d.code == "HL001") lint_overload = true;
+      if (d.code == "HL001") {
+        const std::size_t open = d.message.find('\'');
+        const std::size_t close = d.message.find('\'', open + 1);
+        lint_overload.insert(d.message.substr(open + 1, close - open - 1));
+      }
     }
-    bool engine_overload = false;
+    std::set<std::string> engine_overload;  // resource (and task) entities
     for (const cpa::Diagnostic& d : graceful.diagnostics.entries())
-      if (d.code == cpa::DiagCode::kResourceOverload) engine_overload = true;
+      if (d.code == cpa::DiagCode::kResourceOverload) engine_overload.insert(d.entity);
 
     // hemlint and the engine estimate long-run load with independently
     // quantised rate sums; exactly at the load == 1 boundary they may
@@ -345,11 +350,40 @@ class DegradationOracle final : public Oracle {
     for (const auto& [resource, value] : load)
       if (value > 0.999 && value < 1.001) return;
 
-    if (lint_overload != engine_overload) {
-      out.push_back({name(), "hl001-iff-overload",
-                     std::string("hemlint HL001 ") + (lint_overload ? "fired" : "did not fire") +
-                         " but the engine " + (engine_overload ? "reported" : "did not report") +
-                         " resource overload"});
+    // hemlint propagates source rates, while a fallback output (the
+    // sporadic envelope at spacing C-) can load its consumers far above or
+    // below them: a TDMA task whose busy window diverges at load 0.01 can
+    // overload the CPU it feeds, and an overloaded producer can relieve an
+    // HL001-flagged consumer.  So the iff is judged per resource, and only
+    // on resources with no task downstream of a task with fallback bounds.
+    const cpa::System& sys = *in.system;
+    const std::size_t n = sys.tasks().size();
+    std::vector<char> fallback(n), downstream(n);
+    for (cpa::TaskId t = 0; t < n; ++t)
+      fallback[t] = graceful.task(sys.tasks()[t].name).degraded() ? 1 : 0;
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (cpa::TaskId t = 0; t < n; ++t) {
+        if (downstream[t]) continue;
+        for (const cpa::TaskId p : cpa::referenced_tasks(sys.activation(t)))
+          if (fallback[p] || downstream[p]) downstream[t] = 1;
+        grew = grew || downstream[t];
+      }
+    }
+    std::vector<char> fed_by_fallback(sys.resources().size());
+    for (cpa::TaskId t = 0; t < n; ++t)
+      if (downstream[t]) fed_by_fallback[sys.tasks()[t].resource] = 1;
+    for (cpa::ResourceId r = 0; r < sys.resources().size(); ++r) {
+      const std::string& res = sys.resources()[r].name;
+      const bool lint_says = lint_overload.count(res) > 0;
+      const bool engine_says = engine_overload.count(res) > 0;
+      if (lint_says != engine_says && !fed_by_fallback[r]) {
+        out.push_back({name(), "hl001-iff-overload",
+                       "on resource '" + res + "' hemlint HL001 " +
+                           (lint_says ? "fired" : "did not fire") + " but the engine " +
+                           (engine_says ? "reported" : "did not report") + " overload"});
+        return;
+      }
     }
   }
 };

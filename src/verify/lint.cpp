@@ -27,24 +27,6 @@ std::string fixed2(double v) {
   return os.str();
 }
 
-/// All tasks whose *analysis results* a task's activation needs: the CPA
-/// engine resolves an activation only once every referenced task (including
-/// pending-coupled pack inputs and the unpack frame) has an output model.
-std::vector<TaskId> referenced_tasks(const ActivationSpec& spec) {
-  std::vector<TaskId> refs;
-  if (const auto* out = std::get_if<cpa::TaskOutputActivation>(&spec)) {
-    refs = out->producers;
-  } else if (const auto* land = std::get_if<cpa::AndActivation>(&spec)) {
-    refs = land->producers;
-  } else if (const auto* packed = std::get_if<cpa::PackedActivation>(&spec)) {
-    for (const auto& in : packed->inputs)
-      if (const auto* task = std::get_if<TaskId>(&in.source)) refs.push_back(*task);
-  } else if (const auto* unpack = std::get_if<cpa::UnpackedActivation>(&spec)) {
-    refs.push_back(unpack->frame_task);
-  }
-  return refs;
-}
-
 class Linter {
  public:
   Linter(const ParsedSystem& parsed, std::vector<Diagnostic>& out)
@@ -87,7 +69,7 @@ class Linter {
   void check_activation_graph() {
     const std::size_t n = tasks_.size();
     std::vector<std::vector<TaskId>> refs(n);
-    for (TaskId t = 0; t < n; ++t) refs[t] = referenced_tasks(parsed_.system.activation(t));
+    for (TaskId t = 0; t < n; ++t) refs[t] = cpa::referenced_tasks(parsed_.system.activation(t));
 
     std::vector<bool> resolvable(n, false);
     for (bool changed = true; changed;) {

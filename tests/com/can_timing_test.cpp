@@ -41,28 +41,6 @@ TEST(CanTimingTest, RejectsInvalidArguments) {
   EXPECT_THROW((void)can_frame_time(4, 0), std::invalid_argument);
 }
 
-TEST(CanFdTimingTest, FasterDataPhaseShortensLargeFrames) {
-  // 64-byte FD frame at 500k/2M (arb 4 ticks/bit, data 1 tick/bit) vs a
-  // hypothetical all-arbitration-speed transmission.
-  const auto fd = can_fd_frame_time(64, 4, 1);
-  const auto slow = can_fd_frame_time(64, 4, 4);
-  EXPECT_LT(fd.worst, slow.worst);
-  EXPECT_LE(fd.best, fd.worst);
-}
-
-TEST(CanFdTimingTest, MonotoneInPayload) {
-  for (int s = 1; s <= 64; ++s) {
-    EXPECT_GE(can_fd_frame_time(s, 4, 1).worst, can_fd_frame_time(s - 1, 4, 1).worst);
-    EXPECT_GE(can_fd_frame_time(s, 4, 1).best, can_fd_frame_time(s - 1, 4, 1).best);
-  }
-}
-
-TEST(CanFdTimingTest, RejectsInvalidArguments) {
-  EXPECT_THROW((void)can_fd_frame_time(65, 4, 1), std::invalid_argument);
-  EXPECT_THROW((void)can_fd_frame_time(8, 0, 1), std::invalid_argument);
-  EXPECT_THROW((void)can_fd_frame_time(8, 1, 2), std::invalid_argument);  // data slower than arb
-}
-
 TEST(EthernetTimingTest, MinimumFramePadding) {
   // Anything below 46 bytes is padded: same wire time.
   const auto tiny = ethernet_frame_time(1, 2);

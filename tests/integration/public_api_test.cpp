@@ -46,10 +46,6 @@ TEST(PublicApiTest, EverySubsystemIsReachable) {
   // sched
   EXPECT_NO_THROW(sched::PeriodicServer(10, 5));
   EXPECT_NO_THROW(sched::BoundedDelayServer(5, 1, 2));
-  EXPECT_NO_THROW(
-      sched::assign_priorities_dm({{sched::TaskParams{"t", 0, sched::ExecutionTime(1),
-                                                      StandardEventModel::periodic(10)},
-                                    10}}));
   // rtc
   EXPECT_EQ(rtc::full_service().value(7), 7);
   EXPECT_NO_THROW(rtc::upper_arrival_from(*StandardEventModel::periodic(10)));

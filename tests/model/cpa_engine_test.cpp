@@ -79,8 +79,12 @@ TEST(CpaEngineTest, PackedFrameAndUnpackedReceivers) {
   EXPECT_EQ(report.task("f").wcrt, 4);
   // rx sees the pending inner stream: roughly one activation per 400 ticks.
   EXPECT_LE(report.task("rx").activation->eta_plus(4000), 12);
-  EXPECT_NE(report.task("f").hem_output, nullptr);
+  ASSERT_NE(report.task("f").hem_output, nullptr);
   EXPECT_EQ(report.task("rx").hem_output, nullptr);
+  // The transmitted frame keeps one inner stream per packed input, and the
+  // pending one still has no upper distance bound after the bus hop.
+  ASSERT_EQ(report.task("f").hem_output->inner_count(), 2u);
+  EXPECT_TRUE(is_infinite(report.task("f").hem_output->inner(1)->delta_plus(2)));
 }
 
 TEST(CpaEngineTest, OverloadDetected) {

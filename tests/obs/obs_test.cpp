@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -384,7 +385,9 @@ TEST_F(ObsTest, EngineEmitsResourceSpansAndCacheCounters) {
 
   bool saw_run = false, saw_iteration = false, saw_local = false, saw_converged = false;
   std::string local_cause;
+  std::set<std::string> phases;
   for (const auto& ev : tracer.snapshot()) {
+    phases.insert(ev.name);
     if (ev.name == "CpaEngine::run") saw_run = true;
     if (ev.name == "iteration") saw_iteration = true;
     if (ev.name.rfind("local:", 0) == 0) {
@@ -399,6 +402,9 @@ TEST_F(ObsTest, EngineEmitsResourceSpansAndCacheCounters) {
   EXPECT_TRUE(saw_local);
   EXPECT_TRUE(saw_converged);
   EXPECT_FALSE(local_cause.empty()) << "local-analysis spans must carry their dirty cause";
+  for (const char* phase : {"check_resource_load", "update_convergence", "compile_activations",
+                            "compile_converged"})
+    EXPECT_EQ(phases.count(phase), 1u) << "missing engine sub-phase span " << phase;
 
   EXPECT_GT(registry().counter("engine.cache.hit").value() +
                 registry().counter("engine.cache.miss").value(),

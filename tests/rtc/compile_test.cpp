@@ -19,7 +19,6 @@
 #include "core/combinators.hpp"
 #include "core/delta_function_model.hpp"
 #include "core/grouped_stream_model.hpp"
-#include "core/intersection_model.hpp"
 #include "core/leaky_bucket_model.hpp"
 #include "core/offset_transaction_model.hpp"
 #include "core/output_model.hpp"
@@ -185,15 +184,14 @@ TEST(CompileTest, TransparentFastPathBitIdenticalAcrossHorizonBoundary) {
         case 6: return std::make_shared<OrModel>(base, StandardEventModel::periodic(p + 7));
         case 7: return std::make_shared<OutputModel>(base, j / 2, j / 2 + p / 4);
         case 8: return std::make_shared<MinDistanceShaper>(base, p / 2);
-        case 9: return std::make_shared<IntersectionModel>(base, base);
-        case 10: return std::make_shared<GroupedStreamModel>(base, 2, 5);
-        case 11: return std::make_shared<cpa::SporadicEnvelopeModel>(j);
+        case 9: return std::make_shared<GroupedStreamModel>(base, 2, 5);
+        case 10: return std::make_shared<cpa::SporadicEnvelopeModel>(j);
         default: return base;
       }
     };
     return {build(), build()};
   };
-  for (int which = 0; which <= 11; ++which) {
+  for (int which = 0; which <= 10; ++which) {
     const Time p = range(10, 500);
     const Time j = range(0, 2 * p);
     const auto [compiled_one, lazy_twin] = make_models(which, p, j);

@@ -141,6 +141,47 @@ TEST(OracleRegistryTest, EveryBrokenModelKindIsCaught) {
   }
 }
 
+std::vector<OracleFinding> degradation_findings(const std::string& text) {
+  std::istringstream is(text);
+  const ParsedSystem parsed = cpa::parse_system_config(is);
+  DiffInput in;
+  in.system = &parsed.system;
+  in.config_text = text;
+  std::vector<OracleFinding> out;
+  OracleRegistry::with_builtin_oracles().find("degradation")->check(in, fast_options(), out);
+  return out;
+}
+
+TEST(OracleRegistryTest, Hl001CheckSkipsResourcesFedByFallbackBounds) {
+  // A one-tick TDMA slot in a 4288-tick cycle: A's busy window diverges at
+  // long-run load 0.01, and A's fallback output loads the CPU at 2.0.  The
+  // engine reports overload on CPU; hemlint, which propagates the source
+  // rate (CPU load 0.02), stays silent.  Both are right.
+  auto findings = degradation_findings(R"(
+source s1 periodic period=1000
+resource BUS tdma cycle=4288
+resource CPU spp
+task A resource=BUS priority=1 cet=10 slot=1
+task B resource=CPU priority=1 cet=20
+activate A from=s1
+activate B from=A
+)");
+  EXPECT_TRUE(findings.empty()) << dump(findings);
+
+  // The other direction: HL001 flags both CPUs at source rate, but the
+  // overloaded producer's fallback output loads CPU2 at only 0.75.
+  findings = degradation_findings(R"(
+source s1 periodic period=10
+resource CPU1 spp
+resource CPU2 spp
+task A resource=CPU1 priority=1 cet=20
+task B resource=CPU2 priority=1 cet=15
+activate A from=s1
+activate B from=A
+)");
+  EXPECT_TRUE(findings.empty()) << dump(findings);
+}
+
 TEST(OracleRegistryTest, BucketsSeparateOracleFamilies) {
   OracleFinding a{"dominance", "wcrt:T3", ""};
   OracleFinding b{"compilation", "wcrt:T3", ""};

@@ -20,7 +20,6 @@
 #include "core/combinators.hpp"
 #include "core/delta_function_model.hpp"
 #include "core/grouped_stream_model.hpp"
-#include "core/intersection_model.hpp"
 #include "core/leaky_bucket_model.hpp"
 #include "core/offset_transaction_model.hpp"
 #include "core/output_model.hpp"
@@ -146,9 +145,7 @@ TEST(ModelCheckerProperty, AllSubclassesSatisfyAllAxioms) {
     expect_clean(OutputModel(a, r_minus, r_plus), "output");
     expect_clean(MinDistanceShaper(a, rnd.range(1, period)), "shaper");
 
-    // IntersectionModel (a model intersected with itself is always
-    // consistent) and GroupedStreamModel.
-    expect_clean(IntersectionModel(a, a), "intersect");
+    // GroupedStreamModel.
     expect_clean(GroupedStreamModel(a, rnd.range(1, 4), rnd.range(0, 20)), "grouped");
 
     // The engine's degraded-fallback envelope (eq.-8 shape).

@@ -14,6 +14,41 @@ OrModel::OrModel(ModelPtr left, ModelPtr right)
 }
 
 Time OrModel::delta_min_raw(Count n) const {
+  const auto need = static_cast<std::size_t>(n - 2);  // base class guarantees n >= 2
+  if (need >= AtomicCurveCache::kCapacity) return crossing_delta_min(n);
+  const std::size_t have = split_len_.load(std::memory_order_acquire);
+  if (have > need) {
+    // Slots below the published length are complete (release CAS below).
+    const auto k = static_cast<Count>(split_.load(need));
+    return std::max(left_->delta_min(k), right_->delta_min(n - k));
+  }
+
+  // Merge step: the next merged value is the smaller of the two children's
+  // next values (ties go left; either choice yields the same value).
+  // Merging starts after n = 1, where the left child's delta(1) = 0 was
+  // taken first.
+  Count k = have == 0 ? 1 : static_cast<Count>(split_.load(have - 1));
+  Count m = static_cast<Count>(have) + 1;  // merged values consumed so far
+  Time value = 0;
+  for (std::size_t i = have; i <= need; ++i) {
+    const Time a = left_->delta_min(k + 1);
+    const Time b = right_->delta_min(m - k + 1);
+    if (a <= b) ++k;
+    value = std::min(a, b);
+    ++m;
+    (void)split_.store(i, static_cast<Time>(k));
+  }
+
+  std::size_t cur = split_len_.load(std::memory_order_relaxed);
+  while (cur < need + 1) {
+    if (split_len_.compare_exchange_weak(cur, need + 1, std::memory_order_release,
+                                         std::memory_order_relaxed))
+      break;
+  }
+  return value;
+}
+
+Time OrModel::crossing_delta_min(Count n) const {
   // eq. (3): min over k + (n - k) splits of max(delta-_l(k), delta-_r(n-k)).
   // a(k) = delta-_l(k) is non-decreasing and b(k) = delta-_r(n-k) is
   // non-increasing, so max(a, b) is valley-shaped; the minimum sits at the
@@ -33,6 +68,18 @@ Time OrModel::delta_min_raw(Count n) const {
   Time best = a(lo);                                  // k >= k*: max = a(k), min at k*
   if (lo > 0) best = std::min(best, b(lo - 1));       // k <  k*: max = b(k), min at k*-1
   return best;
+}
+
+Count OrModel::eta_plus_raw(Time dt) const {
+  // eq. (1) applied to the merge: delta-_or(n) < dt iff the n smallest
+  // merged values are all below dt, i.e. n <= eta+_l(dt) + eta+_r(dt).  The
+  // generic inversion reports kCountInfinity exactly when eta+ reaches
+  // kEtaSearchCeiling; the sum keeps that rule.
+  const Count l = left_->eta_plus(dt);
+  const Count r = right_->eta_plus(dt);
+  if (is_infinite_count(l) || is_infinite_count(r) || l + r >= kEtaSearchCeiling)
+    return kCountInfinity;
+  return l + r;
 }
 
 Time OrModel::delta_plus_raw(Count n) const {
@@ -56,6 +103,10 @@ Time OrModel::delta_plus_raw(Count n) const {
   if (lo <= k_max) best = std::max(best, B(lo));       // k >= k*: min = B(k), max at k*
   if (lo > 0) best = std::max(best, A(lo - 1));        // k <  k*: min = A(k), max at k*-1
   return best;
+}
+
+double OrModel::long_run_rate_raw() const {
+  return left_->long_run_rate() + right_->long_run_rate();
 }
 
 std::string OrModel::describe() const {

@@ -11,7 +11,11 @@
 ///   delta+_or(n) = max_{K: sum = n-2}  min_i delta+_i(k_i + 2)     (4)
 ///
 /// Both folds are associative, so m-ary combination is built from binary
-/// nodes; each binary query costs O(n) child evaluations and is memoised.
+/// nodes.  Eq. (3) makes delta-_or(n) the n-th smallest value of the merged
+/// sequences delta-_l(1), delta-_l(2), ... and delta-_r(1), delta-_r(2), ...
+/// (both start at delta(1) = 0): a window holds n events iff it holds k of
+/// the left and n - k of the right stream.  Inverting with eq. (1) gives
+/// the exact eta+_or(dt) = eta+_l(dt) + eta+_r(dt).
 ///
 /// AND-activation: an activation occurs once every input has delivered an
 /// event.  Following Jersak/SymTA/S practice, AND requires all inputs to
@@ -20,9 +24,11 @@
 /// jitter, and the minimum input dmin (conservative: consecutive AND
 /// completions are separated by at least min_i dmin_i).
 
+#include <atomic>
 #include <span>
 #include <string>
 
+#include "core/curve_cache.hpp"
 #include "core/event_model.hpp"
 
 namespace hem {
@@ -40,10 +46,30 @@ class OrModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override;
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
+  [[nodiscard]] double long_run_rate_raw() const override;
+
+  /// eta+_l(dt) + eta+_r(dt); kCountInfinity when either side is unbounded
+  /// or the sum reaches kEtaSearchCeiling (the generic inversion's rule).
+  [[nodiscard]] Count eta_plus_raw(Time dt) const override;
 
  private:
+  /// eq. (3) by binary search for the crossing point, O(log n) child
+  /// queries; serves n beyond the merge table's capacity.
+  [[nodiscard]] Time crossing_delta_min(Count n) const;
+
   ModelPtr left_;
   ModelPtr right_;
+
+  // delta- is materialised as a merge of the children's delta- sequences:
+  // split_[n - 2] holds how many of the first n merged values came from the
+  // left child, so delta-_or(n) = max(delta-_l(k), delta-_r(n - k)) with
+  // k = split_[n - 2], and extending the prefix by one slot takes one
+  // comparison.  Publication follows OutputModel: threads extend the merge
+  // in a private arena, store the (identical) slots into the lock-free
+  // table and CAS-max split_len_; readers below split_len_ (acquire) see a
+  // complete prefix.
+  mutable AtomicCurveCache split_;
+  mutable std::atomic<std::size_t> split_len_{0};
 };
 
 /// m-ary OR-combination by pairwise folding.  Requires at least one input;

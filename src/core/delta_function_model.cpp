@@ -117,6 +117,12 @@ Time DeltaFunctionModel::delta_min_raw(Count n) const { return eval(dmin_, n); }
 
 Time DeltaFunctionModel::delta_plus_raw(Count n) const { return eval(dplus_, n); }
 
+double DeltaFunctionModel::long_run_rate_raw() const {
+  // Beyond the prefix q events recur every p ticks.
+  if (is_infinite(dmin_.back())) return 0.0;
+  return static_cast<double>(ext_events_) * rate_of_spacing(ext_time_);
+}
+
 std::string DeltaFunctionModel::describe() const {
   std::ostringstream os;
   os << "DeltaCurves(prefix=" << dmin_.size() << ", ext=" << ext_events_ << "ev/" << ext_time_

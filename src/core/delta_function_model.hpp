@@ -57,6 +57,7 @@ class DeltaFunctionModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override;
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
+  [[nodiscard]] double long_run_rate_raw() const override;
 
  private:
   [[nodiscard]] Time eval(const std::vector<Time>& prefix, Count n) const;

@@ -1,6 +1,7 @@
 #include "core/event_model.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/obs.hpp"
 #include "rtc/compile.hpp"
@@ -18,6 +19,9 @@ obs::Counter& g_cache_hit = obs::registry().counter("engine.cache.hit");
 obs::Counter& g_cache_miss = obs::registry().counter("engine.cache.miss");
 obs::Counter& g_cache_race = obs::registry().counter("engine.cache.publish_race");
 obs::Counter& g_cache_alloc = obs::registry().counter("engine.cache.segment_alloc");
+// Nodes whose long-run rate had no closed form and was sampled instead;
+// counted unconditionally (it is rare and its target is zero).
+obs::Counter& g_rate_fallbacks = obs::registry().counter("engine.rate_fallbacks");
 
 /// Publish a computed sample, tracking duplicate-computation races and
 /// fresh segment allocations.  The store itself reports whether THIS call
@@ -124,6 +128,25 @@ const rtc::CompiledModel& EventModel::ensure_compiled(const rtc::CompileOptions&
     return *raw;
   }
   return *expected;
+}
+
+double EventModel::long_run_rate() const {
+  const double cached = rate_.load(std::memory_order_relaxed);
+  if (cached >= 0.0) return cached;
+  const double r = long_run_rate_raw();
+  rate_.store(r, std::memory_order_relaxed);
+  return r;
+}
+
+double EventModel::long_run_rate_raw() const {
+  g_rate_fallbacks.add(1);
+  return hem::long_run_rate(*this);
+}
+
+double long_run_rate(const EventModel& model, Time horizon) {
+  const Count n = model.eta_plus(horizon);
+  if (is_infinite_count(n)) return std::numeric_limits<double>::infinity();
+  return static_cast<double>(n) / static_cast<double>(horizon);
 }
 
 Count EventModel::eta_plus_raw(Time dt) const {

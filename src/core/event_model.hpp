@@ -30,6 +30,7 @@
 /// memoised per node, so deeply composed models remain cheap to query.
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,6 +111,15 @@ class EventModel {
   /// update function (paper Def. 9).  At least 1 for any non-empty stream.
   [[nodiscard]] Count max_simultaneous_events() const { return eta_plus(1); }
 
+  /// Exact long-run event rate lim eta+(dt)/dt in events per tick (the
+  /// limiting slope of the arrival curve, HeRTA's utilisation basis);
+  /// +infinity when the stream allows unbounded bursts.  eta+ is
+  /// subadditive, so by Fekete's lemma the limit is also its infimum:
+  /// rate * dt <= eta+(dt) for every dt.  Computed once per node from a
+  /// closed form (children's rates for composed nodes) and memoised, so a
+  /// query is O(1) after the first.
+  [[nodiscard]] double long_run_rate() const;
+
   /// Human-readable description, used in reports and error messages.
   [[nodiscard]] virtual std::string describe() const = 0;
 
@@ -129,6 +139,11 @@ class EventModel {
   /// Override point for closed-form eta- (dt > 0 guaranteed).
   [[nodiscard]] virtual Count eta_minus_raw(Time dt) const;
 
+  /// Override point for the closed-form long-run rate.  The default has no
+  /// closed form: it samples eta+(10^6)/10^6, which over-estimates a bursty
+  /// or jittered stream, and counts the call in `engine.rate_fallbacks`.
+  [[nodiscard]] virtual double long_run_rate_raw() const;
+
  private:
   // Dense memoisation of delta values, indexed by n - 2.  Activation DAGs
   // are shared between resources that the CPA engine analyses on concurrent
@@ -139,6 +154,11 @@ class EventModel {
   // the duplicated work is benign.
   mutable AtomicCurveCache dmin_cache_;
   mutable AtomicCurveCache dplus_cache_;
+
+  // Memoised long_run_rate(); negative until first computed.  The rate is a
+  // pure function of the node, so racing first computations store the same
+  // value.
+  mutable std::atomic<double> rate_{-1.0};
 
   // Flat compiled form (rtc/compile.hpp), owned by the node.  Published
   // once by a first-wins CAS in ensure_compiled(); queries take one acquire
@@ -151,6 +171,22 @@ class EventModel {
 /// interval at this n, the stream is treated as allowing unbounded bursts
 /// and `kCountInfinity` is returned.
 inline constexpr Count kEtaSearchCeiling = Count{1} << 24;
+
+/// Events per tick of a stream whose events are at least `spacing` ticks
+/// apart: +infinity at spacing 0, 0 at an infinite spacing.
+[[nodiscard]] inline double rate_of_spacing(Time spacing) noexcept {
+  if (spacing <= 0) return std::numeric_limits<double>::infinity();
+  if (is_infinite(spacing)) return 0.0;
+  return 1.0 / static_cast<double>(spacing);
+}
+
+/// Sample the long-run event rate of a model as eta+(T)/T over a finite
+/// horizon; +infinity when eta+(T) is unbounded.  It over-estimates the
+/// exact EventModel::long_run_rate() by up to the stream's burst over T.
+/// The report's `utilization` column keeps this 10^6-tick sample so reports
+/// stay comparable across versions, and it is the fallback of
+/// long_run_rate() for a model without a closed form.
+[[nodiscard]] double long_run_rate(const EventModel& model, Time horizon = 1'000'000);
 
 /// Compare two models by sampling both delta curves on n in [2, n_max].
 /// Used for CPA fixpoint detection and in tests.

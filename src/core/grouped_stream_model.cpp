@@ -27,6 +27,10 @@ Time GroupedStreamModel::delta_plus_raw(Count n) const {
   return sat_add(outer_span, spread);
 }
 
+double GroupedStreamModel::long_run_rate_raw() const {
+  return static_cast<double>(group_size_) * outer_->long_run_rate();
+}
+
 std::string GroupedStreamModel::describe() const {
   std::ostringstream os;
   os << "Grouped(B=" << group_size_ << ", s=" << spacing_ << ", " << outer_->describe() << ")";

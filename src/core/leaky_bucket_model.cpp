@@ -19,6 +19,8 @@ Time LeakyBucketModel::delta_min_raw(Count n) const {
 
 Time LeakyBucketModel::delta_plus_raw(Count) const { return kTimeInfinity; }
 
+double LeakyBucketModel::long_run_rate_raw() const { return rate_of_spacing(spacing_); }
+
 std::string LeakyBucketModel::describe() const {
   std::ostringstream os;
   os << "LeakyBucket(b=" << burst_ << ", spacing=" << spacing_ << ")";

@@ -52,6 +52,10 @@ Time OffsetTransactionModel::delta_plus_raw(Count n) const {
   return sat_add(worst, jitter_);
 }
 
+double OffsetTransactionModel::long_run_rate_raw() const {
+  return static_cast<double>(offsets_.size()) * rate_of_spacing(period_);
+}
+
 std::string OffsetTransactionModel::describe() const {
   std::ostringstream os;
   os << "Offsets(T=" << period_ << ", k=" << offsets_.size() << ", J=" << jitter_ << ")";

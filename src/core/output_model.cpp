@@ -1,6 +1,7 @@
 #include "core/output_model.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,10 +35,17 @@ Time OutputModel::delta_min_raw(Count n) const {
   const std::size_t have = rec_len_.load(std::memory_order_acquire);
   if (have > need) {
     // Slots below the published prefix length are complete: the release
-    // CAS below pairs with this acquire load.
+    // CAS in extend() pairs with this acquire load.
     obs::bump(g_rec_hit);
     return rec_.load(need);
   }
+  Time value = 0;
+  (void)extend(have, need, std::numeric_limits<Time>::max(), value);
+  return value;
+}
+
+std::size_t OutputModel::extend(std::size_t from, std::size_t need, Time stop,
+                                Time& last) const {
   obs::bump(g_rec_extend);
 
   // Extend the recursion in a private arena: `prev` rides in a register,
@@ -45,17 +53,19 @@ Time OutputModel::delta_min_raw(Count n) const {
   // extensions of the same range compute identical values (the model is
   // pure), so the racing slot stores are benign.
   const Time spread = r_plus_ - r_minus_;
-  Time prev = have == 0 ? 0 : rec_.load(have - 1);  // delta'-(have + 1)
-  for (std::size_t i = have; i <= need; ++i) {
+  Time prev = from == 0 ? 0 : rec_.load(from - 1);  // delta'-(from + 1)
+  std::size_t i = from;
+  for (;; ++i) {
     const auto m = static_cast<Count>(i) + 2;  // the n this slot holds
     const Time shifted = std::max<Time>(0, sat_sub(input_->delta_min(m), spread));
     prev = std::max(shifted, sat_add(prev, r_minus_));
     (void)rec_.store(i, prev);
+    if (i >= need || prev >= stop) break;
   }
 
   // Publish the extended prefix with a CAS-max, capped at the table's
   // capacity (an unstored slot must never fall below the published length).
-  const std::size_t len = std::min(need + 1, AtomicCurveCache::kCapacity);
+  const std::size_t len = std::min(i + 1, AtomicCurveCache::kCapacity);
   std::size_t cur = rec_len_.load(std::memory_order_relaxed);
   while (cur < len) {
     if (rec_len_.compare_exchange_weak(cur, len, std::memory_order_release,
@@ -63,11 +73,44 @@ Time OutputModel::delta_min_raw(Count n) const {
       break;
     obs::bump(g_rec_race);
   }
-  return prev;
+  last = prev;
+  return i;
+}
+
+Count OutputModel::eta_plus_raw(Time dt) const {
+  // eq. (1): the largest n >= 2 with delta'-(n) < dt, or 1.  Slot i holds
+  // delta'-(i + 2), and the recursion is non-decreasing.
+  const std::size_t have = rec_len_.load(std::memory_order_acquire);
+  std::size_t first;  // first slot with a value >= dt
+  if (have > 0 && rec_.load(have - 1) >= dt) {
+    std::size_t lo = 0, hi = have - 1;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (rec_.load(mid) >= dt)
+        hi = mid;
+      else
+        lo = mid + 1;
+    }
+    first = lo;
+  } else {
+    // Scan on from the prefix.  The generic inversion gives up at
+    // kEtaSearchCeiling events (delta-(ceiling) < dt); stopping the scan at
+    // that slot keeps its answer.
+    const auto ceiling = static_cast<std::size_t>(kEtaSearchCeiling - 2);
+    Time value = 0;
+    first = extend(have, ceiling, dt, value);
+    if (value < dt) return kCountInfinity;
+  }
+  return static_cast<Count>(first) + 1;  // slot `first` holds n = first + 2
 }
 
 Time OutputModel::delta_plus_raw(Count n) const {
   return sat_add(input_->delta_plus(n), r_plus_ - r_minus_);
+}
+
+double OutputModel::long_run_rate_raw() const {
+  // Completions keep the input's rate and are at least r- apart.
+  return std::min(input_->long_run_rate(), rate_of_spacing(r_minus_));
 }
 
 std::string OutputModel::describe() const {

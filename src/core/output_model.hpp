@@ -40,8 +40,21 @@ class OutputModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override;
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
+  [[nodiscard]] double long_run_rate_raw() const override;
+
+  /// eq. (1) over the materialised recursion: a binary search of the
+  /// published prefix when it already reaches dt, otherwise a forward scan
+  /// that extends it exactly to the first delta'-(n) >= dt (the generic
+  /// galloping inversion would extend up to twice as far).
+  [[nodiscard]] Count eta_plus_raw(Time dt) const override;
 
  private:
+  /// Extend the recursion from slot `from` (a published prefix length)
+  /// through slot `need`, or only through the first slot whose value
+  /// reaches `stop`; publish what was stored and return the index of the
+  /// last slot computed, with its value in `last`.
+  std::size_t extend(std::size_t from, std::size_t need, Time stop, Time& last) const;
+
   ModelPtr input_;
   Time r_minus_;
   Time r_plus_;

@@ -47,6 +47,10 @@ Time MinDistanceShaper::delta_plus_raw(Count n) const {
   return sat_add(input_->delta_plus(n), delay_bound_);
 }
 
+double MinDistanceShaper::long_run_rate_raw() const {
+  return std::min(input_->long_run_rate(), rate_of_spacing(distance_));
+}
+
 std::string MinDistanceShaper::describe() const {
   std::ostringstream os;
   os << "Shaper(d=" << distance_ << ", D=" << delay_bound_ << ", " << input_->describe() << ")";

@@ -51,6 +51,13 @@ Count StandardEventModel::eta_plus_raw(Time dt) const {
   return n >= kCountInfinity ? kCountInfinity : n;
 }
 
+double StandardEventModel::long_run_rate_raw() const {
+  // delta-(n) grows by P per event, or only by dmin once an infinite jitter
+  // voids the period bound.
+  if (is_infinite(jitter_)) return rate_of_spacing(d_min_);
+  return std::min(rate_of_spacing(period_), rate_of_spacing(d_min_));
+}
+
 Count StandardEventModel::eta_minus_raw(Time dt) const {
   if (is_infinite(jitter_)) return 0;
   if (is_infinite(dt)) return kCountInfinity;

@@ -51,6 +51,7 @@ class StandardEventModel final : public EventModel {
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
   [[nodiscard]] Count eta_plus_raw(Time dt) const override;
   [[nodiscard]] Count eta_minus_raw(Time dt) const override;
+  [[nodiscard]] double long_run_rate_raw() const override;
 
  private:
   Time period_;

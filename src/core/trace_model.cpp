@@ -38,6 +38,10 @@ Count TraceModel::max_events_in_window(Time dt) const {
   return best;
 }
 
+double TraceModel::long_run_rate_raw() const {
+  return 0.0;  // a finite trace: eta+ is bounded by its length
+}
+
 std::string TraceModel::describe() const {
   std::ostringstream os;
   os << "Trace(" << times_.size() << " events";

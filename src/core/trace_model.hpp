@@ -40,6 +40,7 @@ class TraceModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override;
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
+  [[nodiscard]] double long_run_rate_raw() const override;
 
  private:
   std::vector<Time> times_;

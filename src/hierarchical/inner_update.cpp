@@ -30,6 +30,10 @@ Time ResponseUpdatedInnerModel::delta_plus_raw(Count n) const {
   return sat_add(inner_->delta_plus(n), grow);
 }
 
+double ResponseUpdatedInnerModel::long_run_rate_raw() const {
+  return std::min(inner_->long_run_rate(), rate_of_spacing(r_minus_));
+}
+
 std::string ResponseUpdatedInnerModel::describe() const {
   std::ostringstream os;
   os << "InnerUpd(r=[" << r_minus_ << ":" << r_plus_ << "], k=" << k_ << ", "

@@ -43,6 +43,7 @@ class ResponseUpdatedInnerModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override;
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
+  [[nodiscard]] double long_run_rate_raw() const override;
 
  private:
   ModelPtr inner_;

@@ -30,6 +30,11 @@ Time PendingSignalModel::delta_plus_raw(Count /*n*/) const {
   return kTimeInfinity;
 }
 
+double PendingSignalModel::long_run_rate_raw() const {
+  // A pending value is carried at most once per signal event and per frame.
+  return std::min(signal_->long_run_rate(), frame_->long_run_rate());
+}
+
 std::string PendingSignalModel::describe() const {
   std::ostringstream os;
   os << "Pending(" << signal_->describe() << " in " << frame_->describe() << ")";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -56,12 +55,6 @@ std::string AnalysisReport::format() const {
   os << '\n';
   if (!diagnostics.empty()) os << "diagnostics:\n" << diagnostics.format();
   return os.str();
-}
-
-double long_run_rate(const EventModel& model, Time horizon) {
-  const Count n = model.eta_plus(horizon);
-  if (is_infinite_count(n)) return std::numeric_limits<double>::infinity();
-  return static_cast<double>(n) / static_cast<double>(horizon);
 }
 
 }  // namespace hem::cpa

@@ -36,7 +36,9 @@ struct TaskResult {
   ModelPtr activation;   ///< flat activation model used by the local analysis
   ModelPtr output;       ///< flat output stream (Theta_tau applied)
   HemPtr hem_output;     ///< hierarchical output, for frame tasks only
-  double utilization = 0.0;  ///< long-run load this task puts on its resource
+  /// Long-run load this task puts on its resource: the 10^6-tick sampled
+  /// rate of its activation times C+ (see long_run_rate below).
+  double utilization = 0.0;
   TaskStatus status = TaskStatus::kConverged;
 
   /// True when the bounds are conservative fallbacks rather than exact.
@@ -114,8 +116,23 @@ struct AnalysisReport {
   [[nodiscard]] std::string format() const;
 };
 
-/// Estimate the long-run event rate of a model as eta+(T)/T over a large
-/// horizon (used for utilisation reporting and overload warnings).
-[[nodiscard]] double long_run_rate(const EventModel& model, Time horizon = 1'000'000);
+/// The report's `utilization` column is hem::long_run_rate(activation) * C+,
+/// the 10^6-tick sample (core/event_model.hpp); overload verdicts use the
+/// exact EventModel::long_run_rate().
+using hem::long_run_rate;
+
+/// Slack of the overload verdict above load 1.  Loads are sums of exact
+/// per-task rates times C+ in floating point, so a resource loaded exactly
+/// 1 may sum to 1 plus rounding; the slack keeps that from reading as
+/// overload.
+inline constexpr double kOverloadTolerance = 1e-9;
+
+/// The one overload predicate, shared by the engine's pre-check and
+/// hemlint's HL001: a long-run load above 1 (plus the tolerance) lets the
+/// busy window grow without bound.  A load of exactly 1 is left to the
+/// busy-window limits.
+[[nodiscard]] inline bool overloaded(double load) noexcept {
+  return load > 1.0 + kOverloadTolerance;
+}
 
 }  // namespace hem::cpa

@@ -76,8 +76,6 @@ obs::Counter& g_eng_analyses_skipped = obs::registry().counter("engine.local_ana
 obs::Counter& g_eng_models_reused = obs::registry().counter("engine.models_reused");
 obs::Counter& g_eng_models_rebuilt = obs::registry().counter("engine.models_rebuilt");
 obs::Counter& g_eng_iterations = obs::registry().counter("engine.iterations");
-obs::Counter& g_eng_rate_hit = obs::registry().counter("engine.rate_memo.hit");
-obs::Counter& g_eng_rate_miss = obs::registry().counter("engine.rate_memo.miss");
 
 // The lock-free model caches publish into these process-wide probes (see
 // core/event_model.cpp and core/output_model.cpp); run() snapshot-diffs
@@ -106,6 +104,10 @@ CpaEngine::CpaEngine(const System& system, EngineOptions options)
                             sched::analysis_name(policy));
   }
   state_.resize(system_.tasks().size());
+  resource_tasks_.resize(system_.resources().size());
+  for (TaskId t = 0; t < system_.tasks().size(); ++t)
+    resource_tasks_[system_.tasks()[t].resource].push_back(t);
+  resource_load_.assign(system_.resources().size(), 0.0);
   resource_overloaded_.assign(system_.resources().size(), 0);
   changed_.assign(system_.tasks().size(), 1);
 }
@@ -116,19 +118,6 @@ int CpaEngine::effective_jobs() const {
   if (options_.jobs > 0) return options_.jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-double CpaEngine::cached_rate(TaskId t) {
-  TaskState& st = state_[t];
-  const void* key = st.act_flat.get();
-  if (st.rate_key != key) {
-    obs::bump(g_eng_rate_miss);
-    st.rate = long_run_rate(*st.act_flat);
-    st.rate_key = key;
-  } else {
-    obs::bump(g_eng_rate_hit);
-  }
-  return st.rate;
 }
 
 void CpaEngine::resolve_activations() {
@@ -242,17 +231,28 @@ void CpaEngine::check_resource_load() {
   obs::Span span("engine", "check_resource_load");
   const auto& tasks = system_.tasks();
   for (ResourceId r = 0; r < system_.resources().size(); ++r) {
-    double load = 0.0;
+    // The load changes only when one of the resource's activation nodes
+    // does; each node memoises its exact rate.
     bool complete = true;
-    for (TaskId t = 0; t < tasks.size(); ++t) {
-      if (tasks[t].resource != r) continue;
+    bool stale = false;
+    for (TaskId t : resource_tasks_[r]) {
       if (!state_[t].act_flat) {
         complete = false;
         break;
       }
-      load += cached_rate(t) * static_cast<double>(tasks[t].cet.worst);
+      stale = stale || state_[t].load_key != state_[t].act_flat.get();
     }
-    if (!complete || load <= 1.0) continue;
+    if (!complete) continue;
+    if (stale) {
+      double sum = 0.0;
+      for (TaskId t : resource_tasks_[r]) {
+        sum += state_[t].act_flat->long_run_rate() * static_cast<double>(tasks[t].cet.worst);
+        state_[t].load_key = state_[t].act_flat.get();
+      }
+      resource_load_[r] = sum;
+    }
+    const double load = resource_load_[r];
+    if (!overloaded(load)) continue;
     if (options_.strict)
       throw AnalysisError("CpaEngine: resource '" + system_.resources()[r].name +
                               "' is overloaded (load " + std::to_string(load) + " > 1)",
@@ -312,7 +312,6 @@ std::shared_ptr<const sched::LocalAnalysis> CpaEngine::make_local_analysis(
 }
 
 void CpaEngine::analyze_resources() {
-  const auto& tasks = system_.tasks();
   const std::size_t n_res = system_.resources().size();
 
   // Analyse the resolved subset of each resource's tasks.  Tasks whose
@@ -321,8 +320,9 @@ void CpaEngine::analyze_resources() {
   // the iteration converges to the full-fixpoint result and the final
   // round always covers the complete task set.
   std::vector<std::vector<TaskId>> ids(n_res);
-  for (TaskId t = 0; t < tasks.size(); ++t)
-    if (state_[t].act_flat) ids[tasks[t].resource].push_back(t);
+  for (ResourceId r = 0; r < n_res; ++r)
+    for (TaskId t : resource_tasks_[r])
+      if (state_[t].act_flat) ids[r].push_back(t);
 
   // Dirty set: a resource must be re-analysed iff the resolved task subset
   // or any resolved activation node changed since its last local analysis.
@@ -620,26 +620,18 @@ void CpaEngine::finalize_divergence(bool budget_hit) {
   for (TaskId t = 0; t < tasks.size(); ++t)
     unstable[t] = !state_[t].analyzed || !have_prev_ || changed_[t];
 
+  const auto is_unstable = [&](TaskId p) { return unstable[p] != 0; };
   bool changed = true;
   while (changed) {
     changed = false;
     for (TaskId t = 0; t < tasks.size(); ++t) {
       if (unstable[t]) continue;
-      bool taint = false;
-      const ActivationSpec& spec = system_.activation(t);
-      const auto check = [&](TaskId p) { taint = taint || unstable[p]; };
-      if (const auto* by = std::get_if<TaskOutputActivation>(&spec))
-        for (TaskId p : by->producers) check(p);
-      if (const auto* andj = std::get_if<AndActivation>(&spec))
-        for (TaskId p : andj->producers) check(p);
-      if (const auto* packed = std::get_if<PackedActivation>(&spec))
-        for (const auto& in : packed->inputs)
-          if (const auto* tid = std::get_if<TaskId>(&in.source)) check(*tid);
-      if (const auto* up = std::get_if<UnpackedActivation>(&spec)) check(up->frame_task);
+      const std::vector<TaskId> producers = referenced_tasks(system_.activation(t));
       // Interference path: a resource-mate whose activation is unstable
       // makes this task's interference bound unstable as well.
-      for (TaskId m = 0; m < tasks.size() && !taint; ++m)
-        if (m != t && tasks[m].resource == tasks[t].resource && unstable[m]) taint = true;
+      const std::vector<TaskId>& mates = resource_tasks_[tasks[t].resource];
+      const bool taint = std::any_of(producers.begin(), producers.end(), is_unstable) ||
+                         std::any_of(mates.begin(), mates.end(), is_unstable);
       if (taint) {
         unstable[t] = 1;
         changed = true;
@@ -691,18 +683,12 @@ void CpaEngine::taint_downstream() {
     for (TaskId t = 0; t < tasks.size(); ++t) {
       TaskState& st = state_[t];
       if (st.status != TaskStatus::kConverged) continue;
-      bool taint = false;
-      const ActivationSpec& spec = system_.activation(t);
-      if (const auto* by = std::get_if<TaskOutputActivation>(&spec))
-        taint = std::any_of(by->producers.begin(), by->producers.end(), degraded);
-      else if (const auto* andj = std::get_if<AndActivation>(&spec))
-        taint = std::any_of(andj->producers.begin(), andj->producers.end(), degraded);
-      else if (const auto* packed = std::get_if<PackedActivation>(&spec)) {
-        for (const auto& in : packed->inputs)
-          if (const auto* tid = std::get_if<TaskId>(&in.source)) taint = taint || degraded(*tid);
-      } else if (const auto* up = std::get_if<UnpackedActivation>(&spec)) {
-        taint = degraded(up->frame_task) || state_[up->frame_task].hem_degraded;
-      }
+      const std::vector<TaskId> producers = referenced_tasks(system_.activation(t));
+      bool taint = std::any_of(producers.begin(), producers.end(), degraded);
+      // An unpacked inner stream is also degraded when its frame's inner
+      // streams were replaced by fallback envelopes.
+      if (const auto* up = std::get_if<UnpackedActivation>(&system_.activation(t)))
+        taint = taint || state_[up->frame_task].hem_degraded;
       if (!taint) continue;
       st.status = TaskStatus::kDegradedUpstream;
       if (!st.has_diag && !st.out_has_diag) {
@@ -717,6 +703,7 @@ void CpaEngine::taint_downstream() {
 }
 
 AnalysisReport CpaEngine::assemble_report(int iterations, bool converged) {
+  obs::Span span("engine", "assemble_report");
   AnalysisReport report;
   report.iterations = iterations;
   report.converged = converged;
@@ -737,7 +724,7 @@ AnalysisReport CpaEngine::assemble_report(int iterations, bool converged) {
     res.output = st.out_flat;
     res.hem_output = st.out_hem;
     res.status = st.status;
-    res.utilization = cached_rate(t) * static_cast<double>(tasks[t].cet.worst);
+    res.utilization = long_run_rate(*st.act_flat) * static_cast<double>(tasks[t].cet.worst);
     if (st.has_diag)
       report.diagnostics.report(st.diag);
     else if (st.out_has_diag)
@@ -835,7 +822,7 @@ AnalysisReport CpaEngine::run() {
   if (!options_.strict) taint_downstream();
 
   // A converged run's model nodes are final: lower every task's activation
-  // and output stream so report consumers (hemlint rate propagation,
+  // and output stream so report consumers (the utilization sample,
   // ModelChecker sweeps, downstream what-if queries) hit the compiled fast
   // path.  Beyond the compiled horizon queries fall back to the lazy DAG,
   // so this is pure acceleration, never an approximation.

@@ -69,7 +69,9 @@ struct EngineOptions {
   int max_iterations = 64;
   Count compare_horizon = 64;  ///< delta-curve samples used for convergence
   sched::FixpointLimits fixpoint_limits{};
-  bool check_overload = true;  ///< detect resource load > 1 before local analysis
+  /// Flag a resource whose exact long-run load (EventModel::long_run_rate
+  /// times C+, summed) is overloaded() before its local analysis runs.
+  bool check_overload = true;
   /// Classic SymTA/S-style propagation: re-fit every output stream to a
   /// standard event model instead of propagating exact curves.  Lossy but
   /// keeps the representation closed; exposed for the A4 ablation and for
@@ -98,7 +100,7 @@ struct EngineOptions {
   /// busy-window fixpoints answer delta/eta queries with a branch-free
   /// binary search instead of virtual DAG dispatch and atomic memo traffic.
   /// After convergence every task's activation and output node is compiled
-  /// for report consumers (hemlint rate propagation, ModelChecker sweeps).
+  /// for report consumers (the utilization sample, ModelChecker sweeps).
   /// Queries beyond the compiled horizon fall back to the lazy DAG, so
   /// results are bit-identical with the flag off (see docs/compilation.md);
   /// disable to benchmark the pure-lazy baseline.
@@ -150,8 +152,7 @@ class CpaEngine {
     const void* out_key_hem = nullptr;
     Time out_key_bcrt = -1;
     Time out_key_wcrt = -1;
-    double rate = 0.0;                   ///< memoised long_run_rate(act_flat)
-    const void* rate_key = nullptr;      ///< activation node `rate` belongs to
+    const void* load_key = nullptr;      ///< activation node counted in its resource_load_
 
     // Convergence bookkeeping: previous iteration's observable state.
     ModelPtr prev_act;
@@ -180,7 +181,6 @@ class CpaEngine {
   /// curves only until the first mismatch.
   [[nodiscard]] bool update_convergence();
 
-  [[nodiscard]] double cached_rate(TaskId t);
   [[nodiscard]] int effective_jobs() const;
 
   void apply_resource_fallback(ResourceId r, const std::vector<TaskId>& ids,
@@ -193,6 +193,8 @@ class CpaEngine {
   EngineOptions options_;
   sched::FixpointLimits limits_;  ///< fixpoint limits incl. derived deadline
   std::vector<TaskState> state_;
+  std::vector<std::vector<TaskId>> resource_tasks_;  ///< per resource, ascending
+  std::vector<double> resource_load_;  ///< exact long-run load from the load_keys
   std::vector<char> resource_overloaded_;      ///< per-resource flag, this iteration
   std::map<ResourceId, Diagnostic> resource_diag_;
   std::vector<char> changed_;  ///< per-task: iteration N differs from N-1

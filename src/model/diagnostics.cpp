@@ -62,6 +62,8 @@ Time SporadicEnvelopeModel::delta_min_raw(Count n) const { return sat_mul(spacin
 
 Time SporadicEnvelopeModel::delta_plus_raw(Count) const { return kTimeInfinity; }
 
+double SporadicEnvelopeModel::long_run_rate_raw() const { return rate_of_spacing(spacing_); }
+
 std::string SporadicEnvelopeModel::describe() const {
   std::ostringstream os;
   os << "SporadicEnvelope(dmin=" << spacing_ << ", delta+=inf)";

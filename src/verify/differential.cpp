@@ -341,12 +341,20 @@ class DegradationOracle final : public Oracle {
     for (const cpa::Diagnostic& d : graceful.diagnostics.entries())
       if (d.code == cpa::DiagCode::kResourceOverload) engine_overload.insert(d.entity);
 
-    // hemlint and the engine estimate long-run load with independently
-    // quantised rate sums; exactly at the load == 1 boundary they may
-    // legitimately round to different sides, so the iff-check keeps a guard
-    // band around 1.0.
+    // hemlint and the engine sum the same exact rates, but hemlint
+    // propagates source rates where the engine's outputs are also capped at
+    // 1/r-; exactly at the load == 1 boundary the two sums may round to
+    // different sides, so the iff-check keeps a guard band around 1.0.  The
+    // band is judged on the exact rates both verdicts use, not on the
+    // report's sampled `utilization` column.
+    const cpa::System& sys = *in.system;
     std::map<std::string, double> load;
-    for (const cpa::TaskResult& task : graceful.tasks) load[task.resource] += task.utilization;
+    for (cpa::TaskId t = 0; t < graceful.tasks.size(); ++t) {  // reports keep task order
+      const cpa::TaskResult& task = graceful.tasks[t];
+      if (task.activation)
+        load[task.resource] +=
+            task.activation->long_run_rate() * static_cast<double>(sys.tasks()[t].cet.worst);
+    }
     for (const auto& [resource, value] : load)
       if (value > 0.999 && value < 1.001) return;
 
@@ -356,7 +364,6 @@ class DegradationOracle final : public Oracle {
     // overload the CPU it feeds, and an overloaded producer can relieve an
     // HL001-flagged consumer.  So the iff is judged per resource, and only
     // on resources with no task downstream of a task with fallback bounds.
-    const cpa::System& sys = *in.system;
     const std::size_t n = sys.tasks().size();
     std::vector<char> fallback(n), downstream(n);
     for (cpa::TaskId t = 0; t < n; ++t)

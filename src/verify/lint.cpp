@@ -145,7 +145,9 @@ class Linter {
 
   // ---- HL001 --------------------------------------------------------------
   // Long-run activation rates propagate through the graph without running
-  // the engine: a task's output preserves its activation rate (Theta_tau),
+  // the engine, from the exact closed-form rates of the external models
+  // (EventModel::long_run_rate, as the engine's overload pre-check uses): a
+  // task's output preserves its activation rate (Theta_tau),
   // OR sums, AND fires once per token set, a packed frame once per
   // triggering event or timer tick, a pending inner stream at most at the
   // signal's own rate (and never above the frame rate).
@@ -170,7 +172,7 @@ class Linter {
         }
         load += *rate[t] * static_cast<double>(tasks_[t].cet.worst);
       }
-      if (!complete || load <= 1.0 + 1e-9) continue;
+      if (!complete || !cpa::overloaded(load)) continue;
       const std::string& name = parsed_.system.resources()[r].name;
       const auto loc = parsed_.index.resources.find(name);
       emit(LintSeverity::kError,
@@ -184,21 +186,21 @@ class Linter {
       TaskId t, const std::vector<std::optional<double>>& rate) const {
     const ActivationSpec& spec = parsed_.system.activation(t);
     if (const auto* ext = std::get_if<cpa::ExternalActivation>(&spec))
-      return model_rate(ext->model);
+      return ext->model->long_run_rate();
     if (const auto* out = std::get_if<cpa::TaskOutputActivation>(&spec))
       return sum_rates(out->producers, rate);
     if (const auto* land = std::get_if<cpa::AndActivation>(&spec))
       return land->period > 0 ? std::optional<double>(1.0 / static_cast<double>(land->period))
                               : std::nullopt;
     if (const auto* packed = std::get_if<cpa::PackedActivation>(&spec)) {
-      double sum = packed->timer ? model_rate(packed->timer) : 0.0;
+      double sum = packed->timer ? packed->timer->long_run_rate() : 0.0;
       for (const auto& in : packed->inputs) {
         if (in.coupling != SignalCoupling::kTriggering) continue;
         if (const auto* task = std::get_if<TaskId>(&in.source)) {
           if (!rate[*task].has_value()) return std::nullopt;
           sum += *rate[*task];
         } else {
-          sum += model_rate(std::get<ModelPtr>(in.source));
+          sum += std::get<ModelPtr>(in.source)->long_run_rate();
         }
       }
       return sum;
@@ -214,7 +216,7 @@ class Linter {
         if (!rate[*task].has_value()) return std::nullopt;
         signal = *rate[*task];
       } else {
-        signal = model_rate(std::get<ModelPtr>(in.source));
+        signal = std::get<ModelPtr>(in.source)->long_run_rate();
       }
       // A triggering signal's inner stream is the signal itself; a pending
       // signal is carried at most once per frame.
@@ -233,17 +235,6 @@ class Linter {
       sum += *rate[p];
     }
     return sum;
-  }
-
-  [[nodiscard]] static double model_rate(const ModelPtr& model) {
-    // Lower the node first: packed frames and unpacked inner streams can
-    // reference one external source several times, and the compiled form
-    // (rtc/compile.hpp) answers each eta query of the rate estimate with a
-    // flat binary search instead of a galloping DAG inversion.  Queries
-    // beyond the compiled horizon fall back to the lazy DAG, so the rate is
-    // bit-identical to the uncompiled evaluation.
-    model->ensure_compiled();
-    return cpa::long_run_rate(*model);
   }
 
   // ---- HL002 --------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include "verify/model_checker.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -136,6 +138,38 @@ void ModelChecker::check_model(const EventModel& model, const std::string& path)
              "eta-(delta+(" + std::to_string(n) + ")-1=" + std::to_string(dp - 1) +
                  ")=" + count_str(em1) + " > " + std::to_string(n - 2));
   }
+
+  check_rate(model, id);
+}
+
+void ModelChecker::check_rate(const EventModel& model, const std::string& id) {
+  const double r = model.long_run_rate();
+  if (std::isnan(r) || r < 0.0) {
+    record("AX14", id, 0, "long-run rate " + std::to_string(r) + " is not a rate");
+    return;
+  }
+  if (r == 0.0 || std::isinf(r)) return;
+  double excess[3] = {0.0, 0.0, 0.0};
+  Time dt = 0;
+  for (int k = 0; k < 3; ++k) {
+    const double window = std::ceil(static_cast<double>(1024 << (2 * k)) / r);
+    if (window >= static_cast<double>(kTimeInfinity / 4)) return;  // no finite probe
+    dt = static_cast<Time>(window);
+    const Count ep = model.eta_plus(dt);
+    const double events = is_infinite_count(ep) ? std::numeric_limits<double>::infinity()
+                                                : static_cast<double>(ep);
+    const double expected = r * static_cast<double>(dt);
+    if (expected > events * (1.0 + 1e-9))
+      record("AX14", id, dt,
+             "rate " + std::to_string(r) + " * dt=" + std::to_string(dt) + " = " +
+                 std::to_string(expected) + " > eta+(dt)=" + count_str(ep));
+    excess[k] = events - expected;
+  }
+  if (excess[2] > 2.0 * excess[0] + 257.0)
+    record("AX14", id, dt,
+           "excess eta+(dt) - rate * dt grows from " + std::to_string(excess[0]) + " to " +
+               std::to_string(excess[2]) + " over a 16x window: rate " + std::to_string(r) +
+               " is below the limiting slope");
 }
 
 void ModelChecker::check_hierarchical(const HierarchicalEventModel& hem, const std::string& path,

@@ -34,6 +34,17 @@
 ///   AX13 compiled-curve conservativeness: the curve pair emitted by the
 ///        lowering bounds the lazy DAG at every probed n, including beyond
 ///        the compiled horizon (lower curve <= delta-, upper curve >= delta+)
+///   AX14 the closed-form long-run rate r = long_run_rate() is the limiting
+///        slope of eta+.  At dt_k = 4^k * 1024 / r (k = 0, 1, 2; windows of
+///        about 1k, 4k and 16k events):
+///          r * dt_k <= eta+(dt_k)   (eta+ is subadditive, so by Fekete's
+///                                    lemma its limiting slope is its
+///                                    infimum: an r too large fails here)
+///          e(dt_2) <= 2 e(dt_0) + 257, with e(dt) = eta+(dt) - r * dt
+///                                   (a burst or jitter keeps the excess
+///                                    bounded; an r too small by more than
+///                                    ~2% makes it grow linearly)
+///        Checked for 0 < r < infinity; r must never be negative or NaN.
 ///
 /// Violations are *reported*, not thrown; see contracts.hpp for the
 /// throwing HEM_VERIFY construction-time wrappers.
@@ -61,7 +72,7 @@ struct CheckerOptions {
   /// Largest n probed on the delta curves (and used to derive eta sample
   /// points).  Checks are O(horizon) delta queries + O(horizon) eta queries.
   Count horizon = 64;
-  /// Probe the eta functions (AX4-AX8).  Costs a galloping search per
+  /// Probe the eta functions (AX4-AX8, AX14).  Costs a galloping search per
   /// sample; switched off by the cheap construction-time contracts.
   bool check_eta = true;
 };
@@ -73,7 +84,7 @@ class ModelChecker {
  public:
   explicit ModelChecker(CheckerOptions options = {}) : options_(options) {}
 
-  /// Check AX1-AX8 on one flat model.  `path` names the model in reports
+  /// Check AX1-AX8 and AX14 on one flat model.  `path` names the model in reports
   /// (e.g. "T3.activation"); the model's describe() is appended.
   void check_model(const EventModel& model, const std::string& path);
 
@@ -111,6 +122,7 @@ class ModelChecker {
  private:
   void record(const std::string& axiom, const std::string& model, Count witness,
               std::string detail);
+  void check_rate(const EventModel& model, const std::string& id);
 
   CheckerOptions options_;
   std::vector<AxiomViolation> violations_;

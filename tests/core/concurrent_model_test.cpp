@@ -124,6 +124,44 @@ TEST(ConcurrentModelStressTest, OutputRecursionPrefixIsConsistent) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST(ConcurrentModelStressTest, OrMergePrefixIsConsistent) {
+  // One shared OR node whose delta- merge prefix (split counts published by
+  // CAS-max) is extended by several threads at once, while others run the
+  // output model's eta+ scan over it.  Every answer must match a private,
+  // serially evaluated twin.
+  const auto make_or = [] {
+    return std::make_shared<OrModel>(StandardEventModel::periodic_with_jitter(37, 90),
+                                     StandardEventModel::sporadic(53, 20, 11));
+  };
+  const ModelPtr ref_or = make_or();
+  const ModelPtr ref_out = std::make_shared<OutputModel>(make_or(), 2, 30);
+  std::vector<Time> ref_dmin(static_cast<std::size_t>(kMaxN) + 1, 0);
+  std::vector<Count> ref_eta(static_cast<std::size_t>(kMaxN) + 1, 0);
+  for (Count n = 2; n <= kMaxN; ++n) {
+    ref_dmin[static_cast<std::size_t>(n)] = ref_or->delta_min(n);
+    ref_eta[static_cast<std::size_t>(n)] = ref_out->eta_plus(n * 9);
+  }
+
+  const auto shared_or = make_or();
+  const ModelPtr shared_out = std::make_shared<OutputModel>(shared_or, 2, 30);
+  std::atomic<int> mismatches{0};
+  hammer([&](int rank) {
+    if (rank % 2 == 0) {
+      for (Count n = 2 + rank * 53 % 300; n <= kMaxN; n += 1 + rank % 3) {
+        if (shared_or->delta_min(n) != ref_dmin[static_cast<std::size_t>(n)]) mismatches++;
+      }
+    } else {
+      for (Count n = kMaxN; n >= 2; n -= 1 + rank % 5) {
+        if (shared_out->eta_plus(n * 9) != ref_eta[static_cast<std::size_t>(n)]) mismatches++;
+      }
+    }
+    for (Count n = 2; n <= kMaxN; n += 13) {
+      if (shared_or->delta_min(n) != ref_dmin[static_cast<std::size_t>(n)]) mismatches++;
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(AtomicCurveCacheTest, StoreThenLoadRoundTrips) {
   AtomicCurveCache cache;
   EXPECT_EQ(cache.load(0), AtomicCurveCache::kUnset);

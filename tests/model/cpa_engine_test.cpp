@@ -105,6 +105,54 @@ TEST(CpaEngineTest, OverloadDetected) {
   EXPECT_THROW((void)CpaEngine(sys, strict).run(), AnalysisError);
 }
 
+TEST(CpaEngineTest, JitteredLoadBelowOneIsNotOverloaded) {
+  // Exact long-run load 2 * 40653/100000 + 230/8000 + 76/800 = 0.937, so
+  // every busy window converges.  A 10^6-tick rate sample charges each
+  // jittered 40653-tick task ceil((10^6 + 9752) / 10^5) = 11 events and
+  // read 1.018: a false overload with infinite bounds.  (hemfuzz seed 23
+  // variant 4, shrunk.)
+  System sys;
+  const auto rr = sys.add_resource({"rr", Policy::kRoundRobin});
+  const auto a = sys.add_task({"a", rr, 0, sched::ExecutionTime(20326, 40653), 40653});
+  const auto b = sys.add_task({"b", rr, 2, sched::ExecutionTime(115, 230), 230});
+  const auto c = sys.add_task({"c", rr, 3, sched::ExecutionTime(38, 76), 76});
+  const auto d = sys.add_task({"d", rr, 0, sched::ExecutionTime(20326, 40653), 40653});
+  const ModelPtr s0 = StandardEventModel::periodic_with_jitter(100000, 9752);
+  sys.activate_external(a, s0);
+  sys.activate_external(b, periodic(8000));
+  sys.activate_external(c, periodic(800));
+  sys.activate_external(d, s0);
+  EngineOptions strict;
+  strict.strict = true;
+  const auto report = CpaEngine(sys, strict).run();
+  EXPECT_TRUE(report.converged);
+  EXPECT_FALSE(report.degraded());
+  EXPECT_EQ(report.task("a").wcrt, 81612);
+  EXPECT_EQ(report.task("b").wcrt, 81612);
+  EXPECT_EQ(report.task("c").wcrt, 109104);
+  EXPECT_EQ(report.task("d").wcrt, 81612);
+}
+
+TEST(CpaEngineTest, ExactLoadOneIsLeftToTheBusyWindowLimits) {
+  // Load exactly 1 with jitter: the pre-check does not flag it (a sampled
+  // rate reads 1.00001 and did), and the busy window then grows without
+  // bound until its limits stop it.
+  System sys;
+  const auto cpu = sys.add_resource({"cpu", Policy::kSppPreemptive});
+  const auto t = sys.add_task({"t", cpu, 1, sched::ExecutionTime(10)});
+  sys.activate_external(t, StandardEventModel::periodic_with_jitter(10, 5));
+  const auto report = CpaEngine(sys).run();
+  EXPECT_TRUE(is_infinite(report.task("t").wcrt));
+  ASSERT_FALSE(report.diagnostics.empty());
+  bool window_limit = false;
+  for (const Diagnostic& diag : report.diagnostics.entries()) {
+    EXPECT_NE(diag.code, DiagCode::kResourceOverload) << diag.detail;
+    window_limit = window_limit || diag.code == DiagCode::kBusyWindowDivergence ||
+                   diag.code == DiagCode::kBusyWindowBudget;
+  }
+  EXPECT_TRUE(window_limit) << report.diagnostics.format();
+}
+
 TEST(CpaEngineTest, ReportsUtilization) {
   System sys;
   const auto cpu = sys.add_resource({"cpu", Policy::kSppPreemptive});

@@ -403,8 +403,17 @@ TEST_F(ObsTest, EngineEmitsResourceSpansAndCacheCounters) {
   EXPECT_TRUE(saw_converged);
   EXPECT_FALSE(local_cause.empty()) << "local-analysis spans must carry their dirty cause";
   for (const char* phase : {"check_resource_load", "update_convergence", "compile_activations",
-                            "compile_converged"})
+                            "compile_converged", "assemble_report"})
     EXPECT_EQ(phases.count(phase), 1u) << "missing engine sub-phase span " << phase;
+
+  // Every model of the paper system has a closed-form long-run rate.
+  bool saw_fallbacks = false;
+  registry().for_each_counter([&](const std::string& name, const Counter& c) {
+    if (name != "engine.rate_fallbacks") return;
+    saw_fallbacks = true;
+    EXPECT_EQ(c.value(), 0) << "long-run rate sampled instead of computed";
+  });
+  EXPECT_TRUE(saw_fallbacks) << "engine.rate_fallbacks is not registered";
 
   EXPECT_GT(registry().counter("engine.cache.hit").value() +
                 registry().counter("engine.cache.miss").value(),

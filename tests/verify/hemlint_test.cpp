@@ -220,6 +220,41 @@ deadline T1 5
   EXPECT_EQ(d->line, 6);
 }
 
+TEST(Hemlint, HL001UsesTheExactRateOfJitteredSources) {
+  // Exact load 2 * 40653/100000 + 230/8000 + 76/800 = 0.937.  A 10^6-tick
+  // rate sample charges each jittered 40653-tick task 11 events and read
+  // 1.018; the engine analyses this resource to converged bounds.
+  const auto result = lint(R"(
+resource rr0 rr
+source s0 sem period=100000 jitter=9752
+source s2 periodic period=8000
+source s3 periodic period=800
+task a resource=rr0 priority=0 cet=20326:40653 slot=40653
+task b resource=rr0 priority=2 cet=115:230 slot=230
+task c resource=rr0 priority=3 cet=38:76 slot=76
+task d resource=rr0 priority=0 cet=20326:40653 slot=40653
+activate a from=s0
+activate b from=s2
+activate c from=s3
+activate d from=s0
+)");
+  ASSERT_TRUE(result.parse_ok);
+  EXPECT_EQ(find(result, "HL001"), nullptr) << dump(result);
+}
+
+TEST(Hemlint, HL001ToleratesAnExcessBelowTheSharedTolerance) {
+  // Load 1 + 3.3e-10 (examples/divergent_fixpoint.hemcpa): below the 1e-9
+  // tolerance the engine's pre-check shares, so neither flags it.
+  const auto result = lint(R"(
+resource R spp
+source s periodic period=3000000000
+task H resource=R priority=1 cet=3000000001
+activate H from=s
+)");
+  ASSERT_TRUE(result.parse_ok);
+  EXPECT_EQ(find(result, "HL001"), nullptr) << dump(result);
+}
+
 TEST(Hemlint, RatePropagatesThroughGraphForUtilization) {
   // The overload is on a DOWNSTREAM resource: s1 at period 10 activates T1
   // (cheap, on CPU1), whose output activates T2 on CPU2 with cet 20 — flat

@@ -3,14 +3,16 @@
 //
 //  * every EventModel subclass, built with randomized-but-seeded parameters
 //    (fixed seeds in the source, no wall-clock entropy), satisfies all
-//    axioms AX1-AX8 — plus AX9 on pack outputs and AX10/AX11 on inner
-//    updates — with zero violations;
+//    axioms AX1-AX8 and the long-run rate axiom AX14 — plus AX9 on pack
+//    outputs and AX10/AX11 on inner updates — with zero violations, and
+//    every one has a closed-form long-run rate;
 //  * a deliberately broken mock model makes every axiom id fire;
 //  * the HEM_VERIFY construction-time contracts throw ContractViolation on
 //    broken inputs (the enforce_* functions are always linked; only the
 //    call-site macros are compiled out in Release).
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <set>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "hierarchical/pack_constructor.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/diagnostics.hpp"
+#include "obs/obs.hpp"
 #include "rtc/compile.hpp"
 #include "scenarios/synth.hpp"
 #include "verify/contracts.hpp"
@@ -60,7 +63,10 @@ class Rand {
 
 void expect_clean(const EventModel& model, const std::string& path) {
   ModelChecker checker(options());
+  const obs::Counter& fallbacks = obs::registry().counter("engine.rate_fallbacks");
+  const long fallbacks_before = fallbacks.value();
   checker.check_model(model, path);
+  EXPECT_EQ(fallbacks.value(), fallbacks_before) << path << ": no closed-form long-run rate";
   // The compilation axioms (AX12/AX13) ride the same subclass sweep: lower
   // the node to a small horizon and verify the flat form agrees with the
   // lazy DAG inside it and its curve pair stays conservative beyond it.
@@ -399,6 +405,35 @@ TEST(ModelCheckerNegative, ViolationReportsCarryPathAxiomAndWitness) {
   EXPECT_GE(v.witness, 2);
   EXPECT_NE(v.detail.find("delta-"), std::string::npos);
   EXPECT_NE(checker.format().find("AX3"), std::string::npos);
+}
+
+/// A periodic-10 stream that misstates its long-run rate (exactly 0.1).
+class WrongRateModel final : public EventModel {
+ public:
+  explicit WrongRateModel(double rate) : rate_(rate) {}
+  [[nodiscard]] std::string describe() const override { return "WrongRate"; }
+
+ protected:
+  [[nodiscard]] Time delta_min_raw(Count n) const override { return 10 * (n - 1); }
+  [[nodiscard]] Time delta_plus_raw(Count n) const override { return 10 * (n - 1); }
+  [[nodiscard]] double long_run_rate_raw() const override { return rate_; }
+
+ private:
+  double rate_;
+};
+
+bool rate_fires(double rate) {
+  ModelChecker checker(options());
+  checker.check_model(WrongRateModel(rate), "wrong-rate");
+  return fired(checker, "AX14");
+}
+
+TEST(ModelCheckerNegative, MisstatedLongRunRateFiresAX14) {
+  EXPECT_FALSE(rate_fires(0.1));
+  EXPECT_TRUE(rate_fires(0.11));   // above the infimum of eta+(dt)/dt
+  EXPECT_TRUE(rate_fires(0.095));  // below the limiting slope: the excess grows
+  EXPECT_TRUE(rate_fires(-1.0));
+  EXPECT_TRUE(rate_fires(std::numeric_limits<double>::quiet_NaN()));
 }
 
 TEST(ModelCheckerNegative, OneReportPerAxiomAndModel) {

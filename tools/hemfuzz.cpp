@@ -15,7 +15,9 @@
 // the same exception, which is agreement, not a differential.  An oracle
 // that cannot examine a candidate (the simulator generates only
 // StandardEventModel stimuli) prints a `skip` line with its reason and is
-// counted on the summary line.  Failures are bucketed by stable
+// counted on the summary line, as are the event-model nodes whose long-run
+// rate had no closed form (`engine.rate_fallbacks`; the target is 0).
+// Failures are bucketed by stable
 // fingerprint; the first hit of each bucket is minimised with the ddmin
 // shrinker (re-checking the failing oracle after every removal) and written
 // to a reproducer file.
@@ -58,6 +60,7 @@
 
 #include "model/cpa_engine.hpp"
 #include "model/textual_config.hpp"
+#include "obs/obs.hpp"
 #include "scenarios/synth.hpp"
 #include "verify/differential.hpp"
 #include "verify/shrink.hpp"
@@ -339,7 +342,9 @@ int main(int argc, char** argv) {
   std::cout << "hemfuzz: " << candidates << " candidate(s) from seeds " << args.seed_lo << ".."
             << args.seed_hi << ", " << parse_rejects << " parse reject(s), " << engine_rejects
             << " engine reject(s), " << oracle_skips << " oracle skip(s), " << buckets.size()
-            << " failure bucket(s)"
+            << " failure bucket(s), "
+            << hem::obs::registry().counter("engine.rate_fallbacks").value()
+            << " rate fallback(s)"
             << (out_of_budget ? " [budget exhausted]" : "") << "\n";
   return buckets.empty() ? 0 : 1;
 }
